@@ -1,17 +1,16 @@
-// Serving-path cost of EDB seeding: Submit-to-answer throughput with the
-// zero-copy EdbView borrow vs. the per-attempt SnapshotInto deep copy.
+// Serving-path cost of EDB seeding: Submit-to-answer throughput of the
+// store-backed QueryService, whose requests seed their working databases
+// with the zero-copy EdbView borrow.
 //
-// Each request's working database must be seeded from the pinned EDB
-// version before the planner runs. The copy path re-inserts every base
-// tuple (O(|EDB|) hashing + allocation per request); the EdbView path
-// installs one borrow per relation (O(#relations), storage/edb_view.h).
-// This benchmark drives a hot-swap QueryService over a same-generation
-// EDB sweep in both modes so the win (and its growth with |EDB|) lands in
-// BENCH_bench_serving.json:
+// Each request's working database is seeded from the pinned EDB version
+// before the planner runs: the EdbView path installs one borrow per
+// relation (O(#relations), storage/edb_view.h), so seeding cost must stay
+// flat as |EDB| grows (EXPERIMENTS.md compares it with a per-attempt deep
+// copy). This benchmark drives the service over a same-generation EDB
+// sweep and a payload sweep; results land in BENCH_bench_serving.json:
 //   qps        Submit-to-answer requests per second (the items/s rate)
 //   edb_tuples size of the base EDB each request is seeded with
-//   answers    per-request answer count (identical across modes — the
-//              borrow path must not change results)
+//   answers    per-request answer count
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -30,7 +29,6 @@ constexpr size_t kBatch = 16;  ///< in-flight requests per iteration
 
 void ServingSubmitToAnswer(benchmark::State& state) {
   size_t people = static_cast<size_t>(state.range(0));
-  bool zero_copy = state.range(1) != 0;
 
   workload::CslData data = workload::MakeSameGeneration(people, 2, 97);
   Database db;
@@ -49,7 +47,6 @@ void ServingSubmitToAnswer(benchmark::State& state) {
 
   service::ServiceOptions opts;
   opts.workers = 4;
-  opts.zero_copy_base = zero_copy;
   service::QueryService svc(&store, opts);
 
   const std::string src = "p(X, Y) :- e(X, Y).\n"
@@ -84,16 +81,11 @@ void ServingSubmitToAnswer(benchmark::State& state) {
   state.counters["qps"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kBatch),
       benchmark::Counter::kIsRate);
-  state.SetLabel(zero_copy ? "edb_view_borrow" : "snapshot_copy");
 }
 
 void Args(benchmark::internal::Benchmark* b) {
-  for (long people : {300, 1000, 3000}) {
-    for (long zero_copy : {0, 1}) {
-      b->Args({people, zero_copy});
-    }
-  }
-  b->ArgNames({"people", "zero_copy"});
+  for (long people : {300, 1000, 3000}) b->Arg(people);
+  b->ArgName("people");
   b->Unit(benchmark::kMillisecond);
   b->UseRealTime();  // worker pool: wall clock is the serving metric
 }
@@ -102,12 +94,10 @@ BENCHMARK(ServingSubmitToAnswer)->Apply(Args);
 
 // Seeding cost in isolation: a small query served from a store that also
 // holds a large payload relation the query never touches — the common
-// shape once one store serves many query families. SnapshotInto pays
-// O(payload) per request anyway; the EdbView borrow pays O(#relations),
-// so its time stays flat across the payload sweep.
+// shape once one store serves many query families. The EdbView borrow
+// pays O(#relations), so its time stays flat across the payload sweep.
 void ServingSeedCost(benchmark::State& state) {
   size_t payload = static_cast<size_t>(state.range(0));
-  bool zero_copy = state.range(1) != 0;
 
   workload::CslData data = workload::MakeFigure1Style();
   Database db;
@@ -130,7 +120,6 @@ void ServingSeedCost(benchmark::State& state) {
 
   service::ServiceOptions opts;
   opts.workers = 4;
-  opts.zero_copy_base = zero_copy;
   service::QueryService svc(&store, opts);
 
   const std::string src = "p(X, Y) :- e(X, Y).\n"
@@ -162,16 +151,11 @@ void ServingSeedCost(benchmark::State& state) {
   state.counters["qps"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kBatch),
       benchmark::Counter::kIsRate);
-  state.SetLabel(zero_copy ? "edb_view_borrow" : "snapshot_copy");
 }
 
 void SeedArgs(benchmark::internal::Benchmark* b) {
-  for (long payload : {10000, 100000, 300000}) {
-    for (long zero_copy : {0, 1}) {
-      b->Args({payload, zero_copy});
-    }
-  }
-  b->ArgNames({"payload", "zero_copy"});
+  for (long payload : {10000, 100000, 300000}) b->Arg(payload);
+  b->ArgName("payload");
   b->Unit(benchmark::kMillisecond);
   b->UseRealTime();
 }

@@ -4,7 +4,7 @@
 //   mcm-serve RULES.dl [--fact NAME=FILE.tsv]... [--store DIR]
 //             [--listen PORT] [--workers N] [--queue-depth N]
 //             [--default-timeout-ms N] [--max-retries N]
-//             [--memory-budget BYTES] [--method auto|safe|counting]
+//             [--memory-budget BYTES] [--method M]
 //
 //   RULES.dl         Datalog rules WITHOUT a query; every stdin line adds one
 //   --fact name=path load a TSV fact file into relation `name`
@@ -51,11 +51,17 @@
 //   --default-timeout-ms  per-request deadline when a line has none
 //   --max-retries    transient-failure retries per request (default 2)
 //   --memory-budget  global derived-data budget, split across workers
-//   --method         planner profile for every request:
-//                      auto      cost-ranked selection (default)
-//                      safe      fixed safe magic-counting method
-//                      counting  attempt plain counting under the governor
-//                                (the breaker learns the divergent shapes)
+//   --method         method spec for every request (the same vocabulary
+//                    as mcmq --method, see core::ParseMethod):
+//                      auto       cost-ranked selection (default)
+//                      safe       fixed safe walk from mc:multiple:int
+//                      counting   attempt plain counting under the governor
+//                                 (the breaker learns the divergent shapes)
+//                      magic      generalized magic sets
+//                      bottom_up  plain seminaive evaluation
+//                      mc:V:M     safe walk from magic counting variant V
+//                                 (basic|single|multiple|recurring|smart),
+//                                 mode M (ind|int)
 //
 // The EDB lives in an epoch-versioned store: every query pins the tip
 // version at submission and answers from that snapshot no matter how many
@@ -125,6 +131,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/planner.h"
 #include "datalog/parser.h"
 #include "runtime/execution_context.h"
 #include "service/frontend.h"
@@ -298,7 +305,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--method") {
       method = next();
-      if (method != "auto" && method != "safe" && method != "counting") {
+      core::PlannerOptions parsed;
+      if (!core::ParseMethod(method, &parsed)) {
         return Fail("unknown --method '" + method + "'");
       }
     } else {

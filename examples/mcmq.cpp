@@ -1,26 +1,28 @@
 // mcmq — command-line query processor.
 //
 // Usage:
-//   mcmq PROGRAM.dl [--fact NAME=FILE.tsv]... [--method auto|bottom_up|
-//        magic|mc:<variant>:<mode>] [--out FILE.tsv] [--profile] [--explain]
+//   mcmq PROGRAM.dl [--fact NAME=FILE.tsv]... [--method M] [--out FILE.tsv]
+//        [--profile] [--explain]
 //        [--timeout-ms N] [--max-tuples N] [--max-iterations N]
 //        [--max-memory-bytes N] [--no-fallback]
 //
 //   PROGRAM.dl       Datalog rules + one query
 //   --fact name=path load a TSV fact file into relation `name`
-//   --method         evaluation strategy:
+//   --method         evaluation strategy (the same vocabulary as
+//                    mcm-serve --method, see core::ParseMethod):
 //                      auto       planner picks, ranking the methods by the
 //                                 cost model's predictions when the instance
 //                                 statistics allow it (default)
-//                      bottom_up  plain seminaive evaluation
-//                      magic      generalized magic sets
+//                      safe       fixed safe walk from mc:multiple:int
 //                      counting   pure counting; when the static verdict is
 //                                 unsafe/undecidable it is *attempted* under
 //                                 the execution governor and the degradation
 //                                 ladder recovers on divergence
-//                      mc:V:M     magic counting, V in
-//                                 basic|single|multiple|recurring|smart,
-//                                 M in ind|int
+//                      magic      generalized magic sets
+//                      bottom_up  plain seminaive evaluation
+//                      mc:V:M     safe walk from magic counting variant V
+//                                 (basic|single|multiple|recurring|smart),
+//                                 mode M (ind|int)
 //   --out path       write the result tuples as TSV
 //   --profile        print a per-rule cost breakdown (bottom_up only)
 //   --explain        print the static analysis — the Propositions 4-7 cost
@@ -58,36 +60,6 @@ namespace {
 int Fail(const std::string& msg) {
   std::fprintf(stderr, "mcmq: %s\n", msg.c_str());
   return 1;
-}
-
-bool ParseMcMethod(const std::string& spec, core::PlannerOptions* options) {
-  // spec = "mc:variant:mode"
-  size_t c1 = spec.find(':');
-  size_t c2 = spec.find(':', c1 + 1);
-  if (c1 == std::string::npos || c2 == std::string::npos) return false;
-  std::string variant = spec.substr(c1 + 1, c2 - c1 - 1);
-  std::string mode = spec.substr(c2 + 1);
-  if (variant == "basic") {
-    options->variant = core::McVariant::kBasic;
-  } else if (variant == "single") {
-    options->variant = core::McVariant::kSingle;
-  } else if (variant == "multiple") {
-    options->variant = core::McVariant::kMultiple;
-  } else if (variant == "recurring") {
-    options->variant = core::McVariant::kRecurring;
-  } else if (variant == "smart") {
-    options->variant = core::McVariant::kRecurringSmart;
-  } else {
-    return false;
-  }
-  if (mode == "ind") {
-    options->mode = core::McMode::kIndependent;
-  } else if (mode == "int") {
-    options->mode = core::McMode::kIntegrated;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -172,28 +144,7 @@ int main(int argc, char** argv) {
   core::PlannerOptions options;
   options.run = run;
   options.allow_fallback = !no_fallback;
-  if (method == "auto") {
-    // Cost-ranked selection: when the analyzer can derive the instance
-    // parameters the ladder follows the predicted-cost ranking; otherwise
-    // the planner's fixed defaults apply.
-    options.auto_select = true;
-  } else if (method == "bottom_up") {
-    options.allow_magic_counting = false;
-    options.allow_magic_sets = false;
-  } else if (method == "magic") {
-    options.allow_magic_counting = false;
-  } else if (method == "counting") {
-    // Pure counting. Statically proven safe => selected outright. Unsafe or
-    // undecidable => attempted under the execution governor; the caps stop
-    // a divergent fixpoint and the degradation ladder answers the query
-    // with the next-safer method (unless --no-fallback).
-    options.allow_plain_counting = true;
-    options.attempt_unsafe_counting = true;
-  } else if (method.rfind("mc:", 0) == 0) {
-    if (!ParseMcMethod(method, &options)) {
-      return Fail("bad --method spec '" + method + "'");
-    }
-  } else {
+  if (!core::ParseMethod(method, &options)) {
     return Fail("unknown --method '" + method + "'");
   }
 

@@ -60,23 +60,14 @@ AnalysisResult Analyze(const dl::Program& program,
                        const AnalyzeOptions& options) {
   AnalysisResult result;
 
-  if (options.validate) {
-    dl::ValidateInto(program, &result.diagnostics);
-  }
-  if (options.dependencies) {
-    result.deps =
-        AnalyzeDependencies(program, options.db, &result.diagnostics);
-  }
-  if (options.bindings) {
-    AnalyzeBindings(program, result.deps, &result.diagnostics);
-  }
+  dl::ValidateInto(program, &result.diagnostics);
+  result.deps = AnalyzeDependencies(program, options.db, &result.diagnostics);
+  AnalyzeBindings(program, result.deps, &result.diagnostics);
   if (options.counting_safety) {
     result.safety =
         AnalyzeCountingSafety(program, options.db, &result.diagnostics);
-    if (options.cost) {
-      result.cost =
-          AnalyzeCost(program, result.safety, options.db, &result.diagnostics);
-    }
+    result.cost =
+        AnalyzeCost(program, result.safety, options.db, &result.diagnostics);
   }
 
   result.diagnostics.SortBySpan();

@@ -38,14 +38,10 @@ struct AnalyzeOptions {
   /// null: the passes then fall back to in-program facts and structural
   /// reasoning. Never mutated.
   const Database* db = nullptr;
-
-  bool validate = true;
-  bool dependencies = true;
-  bool bindings = true;
+  /// Run passes 4 and 5 (counting safety and cost model). The cost pass
+  /// consumes the safety pass's query-form classification, so the two go
+  /// together. Passes 1-3 always run.
   bool counting_safety = true;
-  /// The cost pass consumes the safety pass's query-form classification,
-  /// so disabling counting_safety disables it too.
-  bool cost = true;
 };
 
 /// \brief Everything the analyzer learned about one program.
@@ -62,7 +58,7 @@ struct AnalysisResult {
   Status ToStatus() const { return diagnostics.ToStatus(); }
 };
 
-/// Run all enabled passes over `program`. Diagnostics come back sorted by
+/// Run the analyzer passes over `program`. Diagnostics come back sorted by
 /// source position.
 AnalysisResult Analyze(const dl::Program& program,
                        const AnalyzeOptions& options = {});

@@ -1,7 +1,8 @@
 #include "core/planner.h"
 
+#include <algorithm>
 #include <functional>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
 
 #include "core/solver.h"
@@ -155,58 +156,29 @@ bool ParseMcId(const std::string& id, McVariant* variant, McMode* mode) {
 /// reports them). Ids use the cost/verdict table naming: "counting",
 /// "mc/<variant>/<ind|int>", "magic_sets".
 ///
-/// With auto_select and a computed cost report the order is the
-/// predicted-cost ranking; otherwise it is the fixed Figure 3 walk
-/// (configured method, then safer variants, then magic sets), with plain
-/// counting in front only when allowed and statically safe (or dynamically
-/// attempted). `counting_note` receives the refusal note, `ranked` whether
-/// the cost ranking drove the order.
+/// kAuto with a computed cost report follows the predicted-cost ranking;
+/// otherwise the order is the fixed Figure 3 walk (configured method, then
+/// safer variants, then magic sets), with plain counting in front for
+/// kCounting. `note` receives a plan-description suffix for the orders
+/// that are not the fixed walk.
 std::vector<std::string> LadderMethodIds(
     const PlannerOptions& options, const analysis::AnalysisResult& analysis,
-    std::string* counting_note, bool* ranked) {
-  std::vector<std::string> ids;
-  analysis::Verdict counting_verdict = analysis.safety.VerdictFor("counting");
-  *ranked = false;
-
-  // Circuit-breaker override: straight to the safe bottom rung.
-  if (options.force_safe_method) {
-    *counting_note = "; counting rungs skipped (safe method forced)";
-    ids.push_back("magic_sets");
-    return ids;
+    std::string* note) {
+  if (options.strategy == Strategy::kMagicSets) {
+    *note = "; counting rungs skipped (safe method forced)";
+    return {"magic_sets"};
   }
-
-  *ranked = options.auto_select && analysis.cost.computed &&
-            !analysis.cost.ranking.empty();
-
-  if (*ranked) {
+  if (options.strategy == Strategy::kAuto && analysis.cost.computed &&
+      !analysis.cost.ranking.empty()) {
     // The ranking already contains exactly the safe finite methods,
     // cheapest first ("counting" only when statically safe).
-    for (const std::string& method : analysis.cost.ranking) {
-      if (method == "magic_sets" && !options.allow_magic_sets) continue;
-      ids.push_back(method);
-    }
-    if (options.allow_plain_counting && options.attempt_unsafe_counting &&
-        counting_verdict != analysis::Verdict::kSafe) {
-      ids.insert(ids.begin(), "counting");
-    }
-    if (!options.allow_fallback && ids.size() > 1) ids.resize(1);
+    *note = "; method order auto-selected by predicted cost";
+    std::vector<std::string> ids = analysis.cost.ranking;
+    if (!options.allow_fallback) ids.resize(1);
     return ids;
   }
-
-  if (options.allow_plain_counting) {
-    if (counting_verdict == analysis::Verdict::kSafe ||
-        options.attempt_unsafe_counting) {
-      ids.push_back("counting");
-    } else if (counting_verdict == analysis::Verdict::kUnsafe) {
-      *counting_note =
-          "; plain counting refused: statically unsafe "
-          "(cyclic magic graph)";
-    } else {
-      *counting_note =
-          "; plain counting refused: safety not statically "
-          "decidable";
-    }
-  }
+  std::vector<std::string> ids;
+  if (options.strategy == Strategy::kCounting) ids.push_back("counting");
   ids.push_back(McLadderId(options.variant, options.mode));
   if (options.allow_fallback) {
     // Safer MC variants than the configured one, then magic sets.
@@ -216,9 +188,23 @@ std::vector<std::string> LadderMethodIds(
         ids.push_back(McLadderId(v, options.mode));
       }
     }
-    if (options.allow_magic_sets) ids.push_back("magic_sets");
+    ids.push_back("magic_sets");
   }
   return ids;
+}
+
+/// Whether `strategy` walks the strongly linear ladder at all.
+bool TriesStronglyLinear(Strategy strategy) {
+  return strategy != Strategy::kMagicRewrite &&
+         strategy != Strategy::kBottomUp;
+}
+
+/// Whether `strategy` tries the generalized magic rewrite on `goal`: only
+/// a goal with a bound argument has a binding to propagate.
+bool TriesMagicRewrite(Strategy strategy, const dl::Atom& goal) {
+  return strategy != Strategy::kBottomUp &&
+         std::any_of(goal.args.begin(), goal.args.end(),
+                     [](const dl::Term& t) { return t.IsConstant(); });
 }
 
 /// Split the program into the goal predicate's own rules and the support
@@ -310,7 +296,7 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
 
   // --- Path 1: magic counting on a (possibly derived / composed)
   // strongly linear query. ---
-  if (options.allow_magic_counting) {
+  if (TriesStronglyLinear(options.strategy)) {
     auto split = SplitByGoal(program);
     if (split.ok()) {
       // Canonical shape first (no materialization at all), then the
@@ -355,22 +341,19 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
           RunOptions run_options = options.run;
           run_options.assume_validated = true;
 
-          // Build the degradation ladder: the predicted-cost ranking when
-          // auto_select has a computed cost table, the fixed Figure 3 walk
-          // otherwise. Tier 0 — plain counting — is gated by the static
-          // verdict: the analyzer must prove the magic graph acyclic,
-          // unless the caller opted into a dynamic attempt under the
-          // governor (or the ranking admitted it as statically safe).
+          // Build the degradation ladder the strategy selects (see
+          // LadderMethodIds). Plain counting is on it only when the cost
+          // ranking proved it statically safe or the caller asked for a
+          // governed attempt.
           struct Tier {
             std::string name;  ///< also the fault-injection site suffix
             PlanKind kind;
             std::string description;
             std::function<Result<MethodRun>()> run;
           };
-          std::string counting_note;
-          bool ranked = false;
+          std::string note;
           std::vector<std::string> ids =
-              LadderMethodIds(options, *analysis, &counting_note, &ranked);
+              LadderMethodIds(options, *analysis, &note);
           analysis::Verdict counting_verdict =
               analysis->safety.VerdictFor("counting");
           std::vector<Tier> ladder;
@@ -413,10 +396,6 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
                                 }});
             }
           }
-          if (ranked) {
-            counting_note += "; method order auto-selected by predicted cost";
-          }
-
           Status last = Status::OK();
           for (size_t ti = 0; ti < ladder.size(); ++ti) {
             const Tier& tier = ladder[ti];
@@ -442,7 +421,7 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
                   (split->support.rules.empty() ? ""
                                                 : " with materialized "
                                                   "support") +
-                  counting_note;
+                  note;
               if (attempts.size() > 1) {
                 report.description +=
                     "; degradation ladder: " + AttemptLogSummary(attempts);
@@ -469,11 +448,7 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
   }
 
   // --- Path 2: generalized magic sets when the goal carries bindings. ---
-  bool has_binding = false;
-  for (const dl::Term& t : query.goal.args) {
-    if (t.IsConstant()) has_binding = true;
-  }
-  if (options.allow_magic_sets && has_binding) {
+  if (TriesMagicRewrite(options.strategy, query.goal)) {
     auto magic = rewrite::MagicRewrite(program, query.goal);
     if (magic.ok()) {
       MCM_RETURN_NOT_OK(
@@ -556,12 +531,10 @@ Result<PlanReport> ExplainProgram(const Database* db,
   // Mirror SolveProgram's strategy choice without executing anything: the
   // safety pass already classified the query form, so the CSL path is taken
   // exactly when it recognized a strongly linear shape.
-  if (options.allow_magic_counting &&
+  if (TriesStronglyLinear(options.strategy) &&
       analysis->safety.form != analysis::QueryForm::kNotStronglyLinear) {
-    std::string counting_note;
-    bool ranked = false;
-    std::vector<std::string> ids =
-        LadderMethodIds(options, *analysis, &counting_note, &ranked);
+    std::string note;
+    std::vector<std::string> ids = LadderMethodIds(options, *analysis, &note);
     if (!ids.empty()) {
       const std::string& chosen = ids.front();
       if (chosen == "counting") {
@@ -574,9 +547,8 @@ Result<PlanReport> ExplainProgram(const Database* db,
       report.predicted_reads = PredictedFor(analysis->cost, chosen);
       report.description =
           "explain: would run " + chosen + " over " +
-          analysis->safety.signature +
-          (ranked ? " (order auto-selected by predicted cost)" : "") +
-          counting_note + "; ladder: " + Join(ids, " -> ");
+          analysis->safety.signature + note + "; ladder: " +
+          Join(ids, " -> ");
       for (const std::string& id : ids) {
         PlanAttempt attempt;
         attempt.method = id;
@@ -587,11 +559,7 @@ Result<PlanReport> ExplainProgram(const Database* db,
     }
   }
 
-  bool has_binding = false;
-  for (const dl::Term& t : query.goal.args) {
-    if (t.IsConstant()) has_binding = true;
-  }
-  if (options.allow_magic_sets && has_binding) {
+  if (TriesMagicRewrite(options.strategy, query.goal)) {
     report.kind = PlanKind::kMagicSets;
     report.description =
         "explain: would run generalized magic sets (goal pattern drives " +
@@ -601,6 +569,35 @@ Result<PlanReport> ExplainProgram(const Database* db,
   report.kind = PlanKind::kBottomUp;
   report.description = "explain: would run bottom-up seminaive evaluation";
   return report;
+}
+
+bool ParseMethod(std::string_view spec, PlannerOptions* options) {
+  static constexpr std::pair<std::string_view, Strategy> kNamed[] = {
+      {"auto", Strategy::kAuto},
+      {"safe", Strategy::kSafe},
+      {"counting", Strategy::kCounting},
+      {"magic", Strategy::kMagicRewrite},
+      {"bottom_up", Strategy::kBottomUp},
+  };
+  for (const auto& [name, strategy] : kNamed) {
+    if (spec == name) {
+      options->strategy = strategy;
+      return true;
+    }
+  }
+  // "mc:V:M" is the ladder id "mc/V/M", with "smart" short for
+  // recurring_smart.
+  if (!StartsWith(spec, "mc:")) return false;
+  std::string id(spec);
+  std::replace(id.begin(), id.end(), ':', '/');
+  if (StartsWith(id, "mc/smart/")) id = "mc/recurring_smart/" + id.substr(9);
+  McVariant variant{};
+  McMode mode{};
+  if (!ParseMcId(id, &variant, &mode)) return false;
+  options->strategy = Strategy::kSafe;
+  options->variant = variant;
+  options->mode = mode;
+  return true;
 }
 
 }  // namespace mcm::core

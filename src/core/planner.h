@@ -9,11 +9,9 @@
 //     query — allowing L, E, R to be *derived* predicates defined in lower,
 //     non-recursive strata, the generalization Section 1 of the paper
 //     mentions — the support strata are materialized first and the query is
-//     answered with a magic counting method (by default: multiple /
-//     integrated, the best safe all-rounder of the family). When the caller
-//     opts into plain counting, it is selected only if the analyzer
-//     statically proved the magic graph acyclic; a cyclic (or undecidable)
-//     verdict makes the planner refuse counting and keep the safe method.
+//     answered by walking the method ladder that PlannerOptions::strategy
+//     selects (by default from multiple / integrated, the best safe
+//     all-rounder of the family).
 //  2. Otherwise, if the query has at least one bound argument, the
 //     generalized magic set rewriting is applied and the rewritten program
 //     evaluated.
@@ -29,6 +27,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -49,51 +48,63 @@ enum class PlanKind : uint8_t {
 
 std::string PlanKindToString(PlanKind k);
 
+/// Where the planner's method walk starts: one value per ladder shape.
+/// The strongly linear path walks the Figure 3 hierarchy (counting, the
+/// magic counting variants, magic sets); the other paths try the
+/// generalized magic rewrite for a bound goal, then bottom-up evaluation.
+enum class Strategy : uint8_t {
+  /// The fixed walk: the configured MC method (variant/mode), the safer
+  /// variants, then magic sets. The default.
+  kSafe,
+  /// The cost pass's predicted-cost ranking, cheapest first. Counting is
+  /// ranked only when statically safe. The kSafe walk when the cost table
+  /// was not computed.
+  kAuto,
+  /// Plain counting first, attempted under the governor even when the
+  /// static verdict is unsafe or undecidable, then the kSafe walk: safety
+  /// becomes data-dependent, as the paper argues, instead of all-or-nothing.
+  kCounting,
+  /// Only the always-safe magic-set rung on the strongly linear path. The
+  /// query service's circuit breaker sets it once a query shape has
+  /// diverged repeatedly: there is no point paying for the doomed counting
+  /// attempt again.
+  kMagicSets,
+  /// Skip the strongly linear path: magic rewrite, then bottom-up.
+  kMagicRewrite,
+  /// Plain bottom-up evaluation only.
+  kBottomUp,
+};
+
 struct PlannerOptions {
-  /// MC method used on the CSL path.
+  /// MC method the kSafe and kCounting walks start from.
   McVariant variant = McVariant::kMultiple;
   McMode mode = McMode::kIntegrated;
   RunOptions run;
-  /// Cost-ranked method selection: when the analyzer's cost pass computed a
-  /// report, the degradation ladder follows its predicted-cost ranking
-  /// (cheapest safe method first) instead of the fixed hierarchy walk, and
-  /// plain counting is eligible whenever it is statically safe — the
-  /// ranking subsumes the allow_plain_counting opt-in. Falls back to the
-  /// fixed order when the cost parameters were not derivable.
-  bool auto_select = false;
-  /// Disable the CSL fast path (for comparison runs).
-  bool allow_magic_counting = true;
-  /// Disable the magic-set rewriting fallback.
-  bool allow_magic_sets = true;
-  /// Prefer pure counting on the CSL path when the analyzer statically
-  /// proves the magic graph acyclic. On a cyclic (or undecidable) verdict
-  /// the planner *refuses* counting and uses the configured MC method —
-  /// the refusal is recorded in PlanReport::description.
-  bool allow_plain_counting = false;
-  /// With allow_plain_counting: attempt counting under the governor even
-  /// when the static verdict is unsafe or undecidable, relying on the caps
-  /// and the degradation ladder to recover. This is the dynamic complement
-  /// to the static gate — safety becomes data-dependent, as the paper
-  /// argues, instead of all-or-nothing.
-  bool attempt_unsafe_counting = false;
-  /// Skip every counting-based rung and answer with the always-safe
-  /// magic-set rung directly (the ladder becomes a single "magic_sets"
-  /// entry). Set by the query service's per-signature circuit breaker once
-  /// a query shape has diverged repeatedly: there is no point paying for
-  /// the doomed counting attempt again. Overrides allow_plain_counting /
-  /// auto_select on the strongly linear path; the non-CSL paths (magic
-  /// rewriting, bottom-up) are unaffected.
-  bool force_safe_method = false;
-  /// Retry-with-degradation: when a strongly-linear attempt aborts with
-  /// kUnsafe or kDeadlineExceeded, re-run with the next-safer method in the
-  /// Figure 3 hierarchy (counting -> single/multiple/recurring MC -> magic
-  /// sets). Cancellation is never retried. When false, the first abort is
-  /// returned to the caller as-is (plus the attempt log in the message).
+  Strategy strategy = Strategy::kSafe;
+  /// Retry-with-degradation: when an attempt aborts with kUnsafe or
+  /// kDeadlineExceeded, re-run with the next rung of the ladder (and let a
+  /// failed magic rewrite fall back to bottom-up). Cancellation is never
+  /// retried. When false, only the first rung runs and its abort is
+  /// returned to the caller as-is.
   bool allow_fallback = true;
   /// Precomputed analysis of `program` against the same database. When
   /// null, SolveProgram runs the analyzer itself.
   const analysis::AnalysisResult* analysis = nullptr;
 };
+
+/// Parse a method spec into `options`: the one vocabulary shared by mcmq,
+/// mcm-serve and the line protocol.
+///   auto       -> Strategy::kAuto
+///   safe       -> Strategy::kSafe
+///   counting   -> Strategy::kCounting
+///   magic      -> Strategy::kMagicRewrite
+///   bottom_up  -> Strategy::kBottomUp
+///   mc:V:M     -> Strategy::kSafe from variant V (basic|single|multiple|
+///                 recurring|smart) and mode M (ind|int); the ladder-id
+///                 spellings recurring_smart, independent and integrated
+///                 are accepted too
+/// Returns false, leaving `options` untouched, on any other spec.
+[[nodiscard]] bool ParseMethod(std::string_view spec, PlannerOptions* options);
 
 /// One entry of the planner's execution attempt log.
 struct PlanAttempt {

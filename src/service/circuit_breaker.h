@@ -3,9 +3,10 @@
 // The PR 2 ladder already recovers from a divergent counting attempt, but it
 // pays for the doomed attempt every time: a cyclic instance burns a full
 // iteration-cap's worth of rounds before magic sets answer. The breaker
-// remembers *which* (program, binding) signatures keep diverging and, after
-// K strikes, short-circuits them straight to the safe magic-set rung
-// (PlannerOptions::force_safe_method). After a cooldown the breaker
+// remembers *which* signatures (the normalized program text, query
+// binding included) keep diverging and, after K strikes, short-circuits
+// them straight to the safe magic-set rung (core::Strategy::kMagicSets).
+// After a cooldown the breaker
 // half-opens and lets exactly one probe request try counting again — data
 // changes between requests, so a once-cyclic reachable subgraph may have
 // become acyclic; success closes the circuit, another divergence re-opens it.

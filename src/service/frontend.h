@@ -92,7 +92,8 @@ struct FrontendOptions {
 
   /// Program rules prepended to every query line (mcm-serve --rules).
   std::string rules;
-  /// Planner profile for every request: "auto" | "safe" | "counting".
+  /// Method spec for every request, in core::ParseMethod's vocabulary:
+  /// auto | safe | counting | magic | bottom_up | mc:V:M.
   std::string method = "safe";
 
   /// Optional fd whose readability triggers drain (mcm-serve passes

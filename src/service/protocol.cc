@@ -134,15 +134,6 @@ Result<uint64_t> ParseBatchHeader(std::string_view line, uint64_t max_batch) {
   return n;
 }
 
-void ApplyMethod(std::string_view method, core::PlannerOptions* planner) {
-  if (method == "auto") {
-    planner->auto_select = true;
-  } else if (method == "counting") {
-    planner->allow_plain_counting = true;
-    planner->attempt_unsafe_counting = true;
-  }  // "safe": planner defaults
-}
-
 QueryRequest MakeRequest(const std::string& rules,
                          const RequestPrefixes& prefixes,
                          std::string_view method) {
@@ -150,7 +141,7 @@ QueryRequest MakeRequest(const std::string& rules,
   req.timeout_ms = prefixes.timeout_ms;
   req.max_lag_epochs = prefixes.max_lag_epochs;
   req.serve_stale = prefixes.stale_ok;
-  ApplyMethod(method, &req.planner);
+  (void)core::ParseMethod(method, &req.planner);  // validated at start-up
   req.program_text = rules + "\n" + std::string(prefixes.query);
   return req;
 }

@@ -65,13 +65,10 @@ struct RequestPrefixes {
 [[nodiscard]] Result<uint64_t> ParseBatchHeader(std::string_view line,
                                                 uint64_t max_batch);
 
-/// Apply a --method profile ("auto" | "safe" | "counting") to `planner`,
-/// exactly as the stdin loop always has.
-void ApplyMethod(std::string_view method, core::PlannerOptions* planner);
-
 /// Build the QueryRequest for one sanitized, prefix-parsed query line:
-/// rules + query text, governor knobs from the prefixes, planner profile
-/// from `method`.
+/// rules + query text, governor knobs from the prefixes, planner strategy
+/// from the `method` spec (core::ParseMethod's vocabulary; the server
+/// validates its spec once at start-up with the same parser).
 [[nodiscard]] QueryRequest MakeRequest(const std::string& rules,
                                        const RequestPrefixes& prefixes,
                                        std::string_view method);

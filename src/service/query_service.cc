@@ -107,18 +107,8 @@ std::string ServiceStats::ToString() const {
   return out;
 }
 
-QueryService::QueryService(Database* base, ServiceOptions options)
-    : base_(base),
-      options_(std::move(options)),
-      breaker_(options_.breaker),
-      edb_bytes_(base->ApproxBytes()),
-      ewma_run_seconds_(options_.expected_run_seconds_hint) {
-  StartWorkers();
-}
-
 QueryService::QueryService(VersionedStore* store, ServiceOptions options)
-    : base_(nullptr),
-      store_(store),
+    : store_(store),
       options_(std::move(options)),
       breaker_(options_.breaker),
       ewma_run_seconds_(options_.expected_run_seconds_hint) {
@@ -161,13 +151,12 @@ std::vector<std::shared_ptr<QueryTicket>> QueryService::SubmitBatch(
   tickets.reserve(requests.size());
 
   Clock::time_point now = Clock::now();
-  // Hot-swap mode: ONE pin for the whole batch, resolved on the caller's
-  // thread before any queueing. Every member answers from this snapshot
-  // (retries included), and the shared refcount keeps the version alive
-  // until the last member finishes — batch admission amortizes the pin,
-  // not just the lock.
-  std::shared_ptr<const EdbVersion> snapshot;
-  if (store_ != nullptr) snapshot = store_->Pin();
+  // ONE pin for the whole batch, resolved on the caller's thread before
+  // any queueing. Every member answers from this snapshot (retries
+  // included), and the shared refcount keeps the version alive until the
+  // last member finishes — batch admission amortizes the pin, not just the
+  // lock.
+  std::shared_ptr<const EdbVersion> snapshot = store_->Pin();
 
   std::vector<std::unique_ptr<Pending>> batch;
   batch.reserve(requests.size());
@@ -224,7 +213,7 @@ std::vector<std::shared_ptr<QueryTicket>> QueryService::SubmitBatch(
       // this request just pinned. Within bound: proceed. Beyond bound:
       // serve stale when the request opted in, else shed so the caller can
       // route to a fresher replica.
-      if (pending->snapshot != nullptr && stats_.replica) {
+      if (stats_.replica) {
         uint64_t pinned = pending->snapshot->epoch();
         pending->observed_tip = std::max(stats_.replication_tip_epoch, pinned);
         pending->observed_lag = pending->observed_tip - pinned;
@@ -262,7 +251,7 @@ std::vector<std::shared_ptr<QueryTicket>> QueryService::SubmitBatch(
       QueryResponse resp;
       resp.outcome = Outcome::kRejectedOverload;
       resp.status = std::move(shed_status);
-      if (pending->snapshot) resp.edb_epoch = pending->snapshot->epoch();
+      resp.edb_epoch = pending->snapshot->epoch();
       resp.replication_tip_epoch = pending->observed_tip;
       resp.replication_lag_epochs = pending->observed_lag;
       ++stats_.rejected_overload;
@@ -354,7 +343,7 @@ void QueryService::WorkerLoop(int worker_id) {
     QueryResponse resp;
     resp.worker = worker_id;
     resp.queue_seconds = SecondsSince(p->submitted);
-    if (p->snapshot) resp.edb_epoch = p->snapshot->epoch();
+    resp.edb_epoch = p->snapshot->epoch();
     resp.stale = p->stale;
     resp.replication_tip_epoch = p->observed_tip;
     resp.replication_lag_epochs = p->observed_lag;
@@ -401,10 +390,8 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
 
   // Parse on the worker thread so admission stays O(1).
   dl::Program program;
-  std::string signature;
   if (p->request.program.has_value()) {
     program = *p->request.program;
-    signature = program.ToString();
   } else {
     auto parsed = dl::Parse(p->request.program_text);
     if (!parsed.ok()) {
@@ -414,26 +401,23 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
       return;
     }
     program = std::move(*parsed);
-    signature = p->request.program_text;
   }
 
   core::PlannerOptions opts = p->request.planner;
   opts.analysis = nullptr;  // per-request working db => per-request analysis
 
   // Circuit breaker: consult it only when this request could take the
-  // unsafe counting rung at all.
-  bool wants_unsafe =
-      opts.allow_magic_counting &&
-      (opts.allow_plain_counting || opts.attempt_unsafe_counting ||
-       opts.auto_select);
+  // counting rung at all. It keys on the normalized program, so whitespace,
+  // comments and pre-parsing do not open a fresh signature.
+  std::string signature;
   bool probe_claimed = false;
-  if (wants_unsafe) {
+  if (opts.strategy == core::Strategy::kAuto ||
+      opts.strategy == core::Strategy::kCounting) {
+    signature = program.ToString();
     if (breaker_.AllowUnsafe(signature)) {
       probe_claimed = true;
     } else {
-      opts.allow_plain_counting = false;
-      opts.attempt_unsafe_counting = false;
-      opts.force_safe_method = true;
+      opts.strategy = core::Strategy::kMagicSets;
       resp->breaker_short_circuit = true;
     }
   }
@@ -446,13 +430,10 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
   opts.run.context = &ctx;
   opts.run.timeout_ms = 0;  // the context carries the deadline
 
-  // Memory budget: the EDB snapshot is a fixed per-request cost, so the
-  // configured budget governs *derived* growth beyond it. In hot-swap mode
-  // the snapshot size is per-version, not per-service.
+  // Memory budget: the pinned EDB version is a fixed per-request cost, so
+  // the configured budget governs *derived* growth beyond it.
   if (options_.total_memory_bytes > 0) {
-    size_t edb_bytes =
-        p->snapshot != nullptr ? p->snapshot->ApproxBytes() : edb_bytes_;
-    uint64_t share = static_cast<uint64_t>(edb_bytes) +
+    uint64_t share = static_cast<uint64_t>(p->snapshot->ApproxBytes()) +
                      options_.total_memory_bytes /
                          static_cast<uint64_t>(options_.workers);
     opts.run.max_memory_bytes = opts.run.max_memory_bytes == 0
@@ -474,26 +455,16 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
                           : Outcome::kDeadlineExceeded;
       break;
     }
-    // Per-query isolation: a private working database sharing the base's
-    // thread-safe symbol table, seeded from the EDB. Retries start from a
-    // clean seed too — a half-derived IDB must not leak into the next
-    // attempt. In hot-swap mode every attempt re-seeds from the SAME
-    // pinned version: a retry never mixes epochs. With zero_copy_base the
-    // seed is borrowed (EdbView::AttachTo — no tuple copy; the pin held in
-    // `p` plus the shared_ptr inside each borrow keep the version alive);
-    // otherwise it is a full SnapshotInto copy.
-    Database work(store_ != nullptr ? &store_->symbols() : &base_->symbols());
-    Status st;
-    if (p->snapshot != nullptr) {
-      if (options_.zero_copy_base) {
-        EdbView view(*p->snapshot);
-        st = view.AttachTo(&work);
-      } else {
-        st = p->snapshot->SnapshotInto(&work);
-      }
-    } else {
-      st = base_->SnapshotInto(&work);
-    }
+    // Per-query isolation: a private working database sharing the store's
+    // thread-safe symbol table, seeded by borrowing the pinned version's
+    // relations (EdbView::AttachTo — no tuple copy; the pin held in `p`
+    // plus the shared_ptr inside each borrow keep the version alive).
+    // Retries start from a clean seed too — a half-derived IDB must not
+    // leak into the next attempt — and from the SAME pinned version: a
+    // retry never mixes epochs.
+    Database work(&store_->symbols());
+    EdbView view(*p->snapshot);
+    Status st = view.AttachTo(&work);
     if (st.ok()) st = util::FaultInjection::Instance().Check("service/execute");
     Result<core::PlanReport> run =
         st.ok() ? core::SolveProgram(&work, program, opts)
@@ -572,7 +543,7 @@ void QueryService::Shutdown(bool drain) {
     resp.outcome = Outcome::kCancelledBeforeStart;
     resp.status = Status::Cancelled("service shutdown while queued");
     resp.queue_seconds = SecondsSince(p->submitted);
-    if (p->snapshot) resp.edb_epoch = p->snapshot->epoch();
+    resp.edb_epoch = p->snapshot->epoch();
     Finish(p.get(), std::move(resp));
   }
   for (std::thread& t : to_join) {

@@ -5,31 +5,27 @@
 // single-threaded by design; the service is the layer that makes dozens of
 // governed queries coexist:
 //
-//   Submit ──> admission (shed kRejectedOverload in O(1) when the queue is
-//              full or the deadline cannot be met) ──> bounded queue ──>
-//              worker pool ──> per-request ExecutionContext whose deadline
-//              started at *submit* (queue wait eats budget) ──> circuit
-//              breaker consult ──> EDB snapshot into a private working
-//              Database (shared thread-safe SymbolTable) ──> planner with
-//              the PR 2/3 degradation ladder ──> transient-failure retry
-//              with backoff ──> exactly one classified Outcome.
+//   Submit ──> epoch pin + admission (shed kRejectedOverload in O(1) when
+//              the queue is full or the deadline cannot be met) ──>
+//              bounded queue ──> worker pool ──> per-request
+//              ExecutionContext whose deadline started at *submit* (queue
+//              wait eats budget) ──> circuit breaker consult ──> EdbView
+//              seeding of a private working Database (shared thread-safe
+//              SymbolTable) ──> planner with the degradation ladder ──>
+//              transient-failure retry with backoff ──> exactly one
+//              classified Outcome.
 //
-// Isolation model: the base Database is frozen at service construction and
-// only ever read through the sanctioned concurrent paths (SnapshotInto and
-// the internally synchronized SymbolTable). Each request evaluates against
-// its own working database, so worker threads never share mutable relation
-// state; results are merely Values that resolve through the shared table.
-//
-// Hot-swap mode (the VersionedStore constructor) lifts the frozen-EDB
-// restriction: Submit() pins the store's tip version on the caller's
-// thread, and the request — retries included — evaluates against that one
-// immutable snapshot while writers keep committing new epochs underneath.
-// QueryResponse::edb_epoch reports which version answered. With
-// ServiceOptions::zero_copy_base (default on) the working database borrows
-// the pinned version's relations through EdbView instead of deep-copying
-// them per attempt: seeding drops from O(EDB tuples) to O(relations), and
-// copy-on-write materialization keeps the semantics of the copy path (see
-// storage/edb_view.h).
+// Isolation model: the EDB lives in a VersionedStore. Submit() pins the
+// store's tip version on the caller's thread, and the request — retries
+// included — evaluates against that one immutable snapshot while writers
+// keep committing new epochs underneath; QueryResponse::edb_epoch reports
+// which version answered. (A frozen EDB is a store bootstrapped once with
+// BootstrapFromDatabase.) Each attempt's working database borrows the
+// pinned version's relations through EdbView: seeding costs O(relations),
+// not O(EDB tuples), and copy-on-write materialization keeps a program's
+// own facts on EDB predicates private (see storage/edb_view.h). Worker
+// threads never share mutable relation state; results are merely Values
+// that resolve through the shared table.
 #pragma once
 
 #include <chrono>
@@ -49,7 +45,6 @@
 #include "datalog/ast.h"
 #include "runtime/execution_context.h"
 #include "service/circuit_breaker.h"
-#include "storage/database.h"
 #include "storage/versioned_store.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -84,10 +79,10 @@ struct QueryRequest {
   uint64_t timeout_ms = 0;
   /// Method-selection and cap knobs. The service overrides run.context,
   /// run.timeout_ms and analysis; run.max_memory_bytes is clamped to the
-  /// request's share of the global memory budget; force_safe_method may be
-  /// set by the circuit breaker.
+  /// request's share of the global memory budget; the circuit breaker may
+  /// replace a kAuto or kCounting strategy with kMagicSets.
   core::PlannerOptions planner;
-  /// Staleness bound for replica reads (hot-swap mode on a service that
+  /// Staleness bound for replica reads (on a service that
   /// ReportReplication marks as a replica; ignored otherwise). The lag is
   /// measured at admission: primary acked tip minus the epoch this request
   /// pins. Within the bound the request proceeds normally; beyond it the
@@ -117,8 +112,7 @@ struct QueryResponse {
   int retries = 0;           ///< transient-failure retries consumed
   bool breaker_short_circuit = false;  ///< breaker forced the safe rung
   int worker = -1;           ///< worker that finished it; -1 = shed/queued
-  /// Epoch of the EDB version this request was pinned to at Submit()
-  /// (hot-swap mode only; 0 for the frozen-Database constructor). All
+  /// Epoch of the EDB version this request was pinned to at Submit(). All
   /// attempts of one request answer from this single version.
   uint64_t edb_epoch = 0;
   /// Replica staleness, observed at admission. `stale` is set only when the
@@ -238,13 +232,6 @@ struct ServiceOptions {
   /// Seeds the run-time EWMA (seconds) so predictive shedding is live from
   /// the first request; 0 disables shedding until real samples arrive.
   double expected_run_seconds_hint = 0;
-  /// Hot-swap mode only: seed each attempt's working database by borrowing
-  /// the pinned version's relations (EdbView::AttachTo — O(relations), no
-  /// tuple copy) instead of a full SnapshotInto copy. Semantics are
-  /// identical: borrows are copy-on-write, so a program that adds facts to
-  /// an EDB predicate materializes a private copy on first novel insert.
-  /// Off = always deep-copy (the pre-EdbView behavior).
-  bool zero_copy_base = true;
 };
 
 class QueryService;
@@ -280,17 +267,10 @@ class QueryTicket {
 /// \brief Fixed worker pool serving governed queries against a shared EDB.
 class QueryService {
  public:
-  /// `base` holds the EDB and is frozen for the service's lifetime: the
-  /// service snapshots its relations (read-only) and interns through its
-  /// symbol table (internally synchronized). Not owned; must outlive the
-  /// service. No other code may mutate `base`'s relations while the
-  /// service is running.
-  explicit QueryService(Database* base, ServiceOptions options = {});
-
-  /// Hot-swap mode: serve queries against `store`'s tip, pinning the
-  /// current version per request at Submit(). Writers may keep committing
-  /// (and checkpointing) concurrently — pinned readers are unaffected.
-  /// Not owned; must outlive the service.
+  /// Serve queries against `store`'s tip, pinning the current version per
+  /// request at Submit(). Writers may keep committing (and checkpointing)
+  /// concurrently — pinned readers are unaffected. Not owned; must outlive
+  /// the service.
   explicit QueryService(VersionedStore* store, ServiceOptions options = {});
 
   ~QueryService();  // Shutdown(/*drain=*/false)
@@ -304,9 +284,9 @@ class QueryService {
   [[nodiscard]] std::shared_ptr<QueryTicket> Submit(QueryRequest request)
       MCM_EXCLUDES(mu_);
 
-  /// Admit or shed `requests` as one unit: one epoch pin (hot-swap mode —
-  /// every member answers from the same version, which stays alive until
-  /// the last member finishes) and one queue-capacity decision (the whole
+  /// Admit or shed `requests` as one unit: one epoch pin (every member
+  /// answers from the same version, which stays alive until the last
+  /// member finishes) and one queue-capacity decision (the whole
   /// batch fits behind the current queue or the whole batch is shed with
   /// kRejectedOverload — no partial admission on capacity). Per-request
   /// governors still apply individually: staleness bounds and predictive
@@ -350,8 +330,8 @@ class QueryService {
   struct Pending {
     uint64_t id = 0;
     QueryRequest request;
-    /// Hot-swap mode: the version pinned at Submit(); the pin (refcount)
-    /// lives exactly as long as the request does.
+    /// The version pinned at Submit(); the pin (refcount) lives exactly as
+    /// long as the request does.
     std::shared_ptr<const EdbVersion> snapshot;
     /// Staleness observed at admission (replica mode; zero otherwise).
     bool stale = false;
@@ -376,11 +356,9 @@ class QueryService {
   void BackoffSleep(uint64_t ms, const runtime::ExecutionContext& ctx) const
       MCM_EXCLUDES(mu_);
 
-  Database* base_;                ///< frozen-EDB mode; null in hot-swap mode
-  VersionedStore* store_ = nullptr;  ///< hot-swap mode; null otherwise
+  VersionedStore* store_;
   ServiceOptions options_;
   CircuitBreaker breaker_;
-  size_t edb_bytes_ = 0;  ///< ApproxBytes of the frozen base EDB (base mode)
 
   /// Rank 1 of the lock-order registry (util/mutex.h): held while the
   /// breaker's rank-2 mutex is acquired (stats()), never vice versa.

@@ -76,20 +76,6 @@ size_t Database::TotalTuples() const {
   return total;
 }
 
-Status Database::SnapshotInto(Database* dst) const {
-  for (const auto& [name, rel] : relations_) {
-    Relation* copy = dst->Find(name);
-    if (copy == nullptr) {
-      copy = dst->GetOrCreateRelation(name, rel->arity());
-    } else if (copy->arity() != rel->arity()) {
-      return Status::InvalidArgument(
-          "snapshot arity mismatch for relation '" + name + "'");
-    }
-    for (const Tuple& t : rel->TuplesUnchecked()) copy->Insert(t);
-  }
-  return Status::OK();
-}
-
 size_t Database::ApproxBytes() const {
   // Per tuple: the Value payload plus ~32 bytes of hash-set/index overhead
   // (bucket entry + id vectors), a deliberately round estimate.

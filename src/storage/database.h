@@ -26,11 +26,10 @@ namespace mcm {
 /// Get() / Scan() / Probe() count into the shared AccessStats through a
 /// const method, and Probe() builds its hash index lazily on first use
 /// (mutation hiding behind const — see the concurrency audit in DESIGN.md
-/// 5e). The two sanctioned cross-thread paths are the SymbolTable (which is
+/// 5e). The sanctioned cross-thread path is the SymbolTable, which is
 /// internally synchronized and may be shared via the external-table
-/// constructor) and SnapshotInto(), which reads only truly-const,
-/// uninstrumented state and is safe from many threads at once as long as
-/// nobody mutates the source.
+/// constructor; shared EDB data lives in a VersionedStore's immutable
+/// EdbVersions and reaches a working database through EdbView.
 class MCM_OWNER(Relation) Database {
  public:
   Database() = default;
@@ -48,7 +47,7 @@ class MCM_OWNER(Relation) Database {
   /// Install a zero-copy read-only borrow of `base` (Relation::Borrow)
   /// under `name`, instrumented by this database's stats; error if the
   /// name is taken. This is EdbView's per-relation attach step — the
-  /// zero-copy replacement for SnapshotInto's per-tuple copy.
+  /// zero-copy replacement for a per-tuple copy of the pinned version.
   [[nodiscard]] Result<Relation*> AttachBorrowed(const std::string& name,
                                    std::shared_ptr<const Relation> base);
 
@@ -87,25 +86,6 @@ class MCM_OWNER(Relation) Database {
   /// per-column indexes. Used by the execution governor's memory budget;
   /// deliberately cheap (O(#relations)), not an exact allocator measure.
   size_t ApproxBytes() const;
-
-  /// Copy every relation's tuples into `dst` (relations are created there
-  /// as needed; existing same-name relations receive the tuples, erroring
-  /// on an arity mismatch). This is the query service's per-request
-  /// isolation step, and the one relation read path that is safe to run
-  /// from many threads against the same source at once: it touches only
-  /// name/arity and the uninstrumented tuple storage, so neither the
-  /// source's AccessStats nor its lazy indexes are written. The symbol
-  /// table is NOT copied — share it via the external-table constructor so
-  /// the snapshotted Values keep resolving.
-  ///
-  /// Concurrent-hot-swap audit (PR 5): this safety claim requires a frozen
-  /// source. Snapshotting a Database while another thread mutates its
-  /// relations is a data race (Insert appends to the vector SnapshotInto
-  /// iterates). The versioned store therefore never mutates in place —
-  /// commits build new immutable Relation objects (copy-on-write) and swap
-  /// the tip pointer, so EdbVersion::SnapshotInto on a pinned version is
-  /// race-free by construction no matter how many commits land concurrently.
-  [[nodiscard]] Status SnapshotInto(Database* dst) const;
 
  private:
   std::unordered_map<std::string, std::unique_ptr<Relation>> relations_;

@@ -122,8 +122,13 @@ class MCM_OWNER(Relation) EdbVersion {
   /// Precomputed at commit time; same estimate as Database::ApproxBytes.
   size_t ApproxBytes() const { return approx_bytes_; }
 
-  /// Copy every relation's tuples into `dst` — the same contract (and the
-  /// same sanctioned concurrent read path) as Database::SnapshotInto.
+  /// Copy every relation's tuples into `dst` (relations are created there
+  /// as needed; existing same-name relations receive the tuples, erroring
+  /// on an arity mismatch). Reads only name/arity and the uninstrumented
+  /// tuple storage of immutable relations, so it is safe from many threads
+  /// at once no matter how many commits land concurrently. The symbol table
+  /// is NOT copied — share the store's. The deep-copy reference that
+  /// EdbView::AttachTo's borrow is checked against.
   [[nodiscard]] Status SnapshotInto(Database* dst) const;
 
  private:

@@ -337,14 +337,27 @@ TEST(AnalyzerSafety, VerdictTableRendersEveryMethod) {
 // --- Pass toggles ------------------------------------------------------
 
 TEST(AnalyzerOptions, PassesCanBeDisabled) {
+  // The safety and cost passes (4 and 5) switch off together; their
+  // verdict table, cost report and diagnostics all disappear.
+  const DiagCode kSafetyAndCostCodes[] = {
+      DiagCode::kCountingUnsafe, DiagCode::kQueryClassCsl,
+      DiagCode::kNoEdbStats,     DiagCode::kCostEstimate,
+      DiagCode::kCostRanking,    DiagCode::kCostUnknown,
+  };
+  auto on = AnalyzeSrc(kCyclicCsl);
+  EXPECT_FALSE(on.safety.verdicts.empty());
+  EXPECT_TRUE(on.diagnostics.Has(DiagCode::kCountingUnsafe));
+
   AnalyzeOptions options;
-  options.validate = false;
-  options.dependencies = false;
-  options.bindings = false;
   options.counting_safety = false;
-  auto r = AnalyzeSrc("p(X).\n", options);
-  EXPECT_TRUE(r.diagnostics.empty());
+  auto r = AnalyzeSrc(kCyclicCsl, options);
   EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.safety.verdicts.empty());
+  EXPECT_FALSE(r.cost.computed);
+  EXPECT_TRUE(r.cost.estimates.empty());
+  for (DiagCode code : kSafetyAndCostCodes) {
+    EXPECT_EQ(CountCode(r, code), 0u) << dl::DiagCodeToString(code);
+  }
 }
 
 TEST(AnalyzerOptions, AdvisoryPassesRunDespiteValidationErrors) {

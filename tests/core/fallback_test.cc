@@ -68,8 +68,7 @@ TEST_F(FallbackTest, RealDivergenceFallsBackAndAnswersMatchReference) {
   workload::CslData data = CyclicData();
   data.Load(&db_);
   PlannerOptions options;
-  options.allow_plain_counting = true;
-  options.attempt_unsafe_counting = true;  // try it anyway, governed
+  options.strategy = Strategy::kCounting;  // try it anyway, governed
   auto report = Solve(kCslSrc, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -99,7 +98,7 @@ TEST_F(FallbackTest, InjectedFaultsWalkTheWholeLadderToMagicSets) {
          Status::DeadlineExceeded("injected deadline"));
 
   PlannerOptions options;
-  options.allow_plain_counting = true;  // verdict is safe on this instance
+  options.strategy = Strategy::kCounting;  // verdict is safe here too
   auto report = Solve(kCslSrc, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kMagicSets);
@@ -137,8 +136,7 @@ TEST_F(FallbackTest, NoFallbackReturnsTheAbortAsIs) {
   workload::CslData data = CyclicData();
   data.Load(&db_);
   PlannerOptions options;
-  options.allow_plain_counting = true;
-  options.attempt_unsafe_counting = true;
+  options.strategy = Strategy::kCounting;
   options.allow_fallback = false;
   auto report = Solve(kCslSrc, options);
   ASSERT_FALSE(report.ok());
@@ -186,7 +184,7 @@ TEST_F(FallbackTest, LadderExhaustionReportsEveryAttempt) {
   fi.Arm("solver/run", Status::Unsafe("injected: iteration cap"), /*nth=*/1,
          /*sticky=*/true);
   PlannerOptions options;
-  options.allow_plain_counting = true;
+  options.strategy = Strategy::kCounting;
   auto report = Solve(kCslSrc, options);
   fi.DisarmAll();
   ASSERT_FALSE(report.ok());

@@ -104,14 +104,13 @@ TEST_F(PlannerTest, PathsAgreeOnCslInstances) {
   EXPECT_EQ(a->kind, PlanKind::kMagicCounting);
 
   PlannerOptions magic_only;
-  magic_only.allow_magic_counting = false;
+  magic_only.strategy = Strategy::kMagicRewrite;
   auto b = Solve(src, magic_only);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b->kind, PlanKind::kMagicSets);
 
   PlannerOptions bottom_up;
-  bottom_up.allow_magic_counting = false;
-  bottom_up.allow_magic_sets = false;
+  bottom_up.strategy = Strategy::kBottomUp;
   auto c = Solve(src, bottom_up);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->kind, PlanKind::kBottomUp);
@@ -185,7 +184,7 @@ TEST_F(PlannerTest, PlainCountingChosenWhenStaticallySafe) {
     p(0, Y)?
   )";
   PlannerOptions options;
-  options.allow_plain_counting = true;
+  options.strategy = Strategy::kCounting;
   auto report = Solve(src, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kCounting);
@@ -209,14 +208,16 @@ TEST_F(PlannerTest, PlainCountingRefusedOnCyclicMagicGraph) {
     p(0, Y)?
   )";
 
+  // Cost-ranked selection keeps the static gate: the verdict is unsafe,
+  // so pure counting never makes the ladder.
   PlannerOptions options;
-  options.allow_plain_counting = true;
+  options.strategy = Strategy::kAuto;
   auto report = Solve(src, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  // The static verdict is unsafe, so the planner must refuse pure counting
-  // and keep the magic counting method.
-  EXPECT_EQ(report->kind, PlanKind::kMagicCounting);
-  EXPECT_NE(report->description.find("refused"), std::string::npos);
+  EXPECT_NE(report->kind, PlanKind::kCounting);
+  for (const PlanAttempt& a : report->attempts) {
+    EXPECT_NE(a.method, "counting");
+  }
   EXPECT_EQ(report->safety.VerdictFor("counting"),
             analysis::Verdict::kUnsafe);
   bool warned = false;
@@ -229,7 +230,7 @@ TEST_F(PlannerTest, PlainCountingRefusedOnCyclicMagicGraph) {
   Database db2;
   data.Load(&db2);
   PlannerOptions magic_only;
-  magic_only.allow_magic_counting = false;
+  magic_only.strategy = Strategy::kMagicRewrite;
   auto prog = dl::Parse(src);
   ASSERT_TRUE(prog.ok());
   auto reference = SolveProgram(&db2, *prog, magic_only);
@@ -290,7 +291,7 @@ TEST_F(PlannerTest, PrecomputedAnalysisIsReused) {
   analysis::AnalysisResult precomputed = analysis::Analyze(*prog, aopts);
   PlannerOptions options;
   options.analysis = &precomputed;
-  options.allow_plain_counting = true;
+  options.strategy = Strategy::kCounting;
   auto report = SolveProgram(&db_, *prog, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kCounting);
@@ -312,13 +313,13 @@ constexpr const char* kCslSource = R"(
 
 TEST_F(PlannerTest, AutoSelectFollowsCostRanking) {
   // A wide regular tree: the cost model predicts plain counting cheapest,
-  // so auto_select must run it even though allow_plain_counting is off —
-  // the ranking only admits counting when it is statically safe.
+  // so kAuto must run it — the ranking admits counting because it is
+  // statically safe here.
   workload::CslData data =
       workload::AssembleCsl(workload::MakeTreeL(2, 3), {});
   data.Load(&db_);
   PlannerOptions options;
-  options.auto_select = true;
+  options.strategy = Strategy::kAuto;
   auto report = Solve(kCslSource, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kCounting);
@@ -333,7 +334,7 @@ TEST_F(PlannerTest, AutoSelectRecordsPredictedVsActual) {
       workload::AssembleCsl(workload::MakeTreeL(2, 3), {});
   data.Load(&db_);
   PlannerOptions options;
-  options.auto_select = true;
+  options.strategy = Strategy::kAuto;
   auto report = Solve(kCslSource, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // The winning attempt and the report share the prediction; it must be in
@@ -355,7 +356,7 @@ TEST_F(PlannerTest, AutoSelectNeverPicksCountingWhenCyclic) {
       workload::AssembleCsl(workload::MakeLayeredL(spec), {});
   data.Load(&db_);
   PlannerOptions options;
-  options.auto_select = true;
+  options.strategy = Strategy::kAuto;
   auto report = Solve(kCslSource, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->kind, PlanKind::kCounting);
@@ -371,7 +372,7 @@ TEST_F(PlannerTest, ExplainReportsWithoutExecuting) {
   auto prog = dl::Parse(kCslSource);
   ASSERT_TRUE(prog.ok());
   PlannerOptions options;
-  options.auto_select = true;
+  options.strategy = Strategy::kAuto;
   auto report = ExplainProgram(&db_, *prog, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // No fixpoint ran: no results, and (apart from the analyzer's statistics

@@ -80,8 +80,7 @@ TEST(ReverseCsl, PlannerEndToEnd) {
   };
 
   core::PlannerOptions bottom_up;
-  bottom_up.allow_magic_counting = false;
-  bottom_up.allow_magic_sets = false;
+  bottom_up.strategy = core::Strategy::kBottomUp;
   auto [ref, ref_kind] = answers_of(bottom_up);
   ASSERT_FALSE(ref.empty());
 

@@ -154,8 +154,7 @@ TEST(MaterializeSl, PlannerEndToEnd) {
     Database db;
     make_db(&db);
     core::PlannerOptions opt;
-    opt.allow_magic_counting = false;
-    opt.allow_magic_sets = false;
+    opt.strategy = core::Strategy::kBottomUp;
     auto report = core::SolveProgram(&db, *prog, opt);
     ASSERT_TRUE(report.ok());
     for (const Tuple& t : report->results) {

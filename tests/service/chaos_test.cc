@@ -120,6 +120,9 @@ TEST(ChaosTest, ConcurrentRandomizedRequestsKeepTheContract) {
     instances[i].Load(&base, StringPrintf("l%zu", i), StringPrintf("e%zu", i),
                       StringPrintf("r%zu", i));
   }
+  VersionedStore store;
+  ASSERT_TRUE(store.Recover().ok());
+  ASSERT_TRUE(store.BootstrapFromDatabase(base).ok());
 
   ServiceOptions opts;
   opts.workers = kWorkers;
@@ -129,7 +132,7 @@ TEST(ChaosTest, ConcurrentRandomizedRequestsKeepTheContract) {
   opts.total_memory_bytes = 64ull << 20;
   opts.breaker.strike_threshold = 3;
   opts.breaker.cooldown = milliseconds(40);
-  QueryService svc(&base, opts);
+  QueryService svc(&store, opts);
 
   struct Submitted {
     size_t instance;
@@ -194,10 +197,10 @@ TEST(ChaosTest, ConcurrentRandomizedRequestsKeepTheContract) {
       req.timeout_ms = 2000;
     }
     if (rng.NextBool(0.4)) {
-      req.planner.allow_plain_counting = true;
-      req.planner.attempt_unsafe_counting = true;
+      req.planner.strategy = core::Strategy::kCounting;
+    } else if (rng.NextBool(0.4)) {
+      req.planner.strategy = core::Strategy::kAuto;
     }
-    if (rng.NextBool(0.25)) req.planner.auto_select = true;
     if (!s.parse_error && rng.NextBool(0.1)) {
       auto prog = dl::Parse(req.program_text);
       ASSERT_TRUE(prog.ok());

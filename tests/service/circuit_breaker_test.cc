@@ -8,8 +8,10 @@
 #include <memory>
 #include <string>
 
+#include "datalog/parser.h"
 #include "service/circuit_breaker.h"
 #include "service/query_service.h"
+#include "storage/versioned_store.h"
 #include "util/fault_injection.h"
 #include "workload/generators.h"
 
@@ -174,11 +176,20 @@ workload::CslData CyclicData() {
   return data;
 }
 
+/// A store holding `data` at epoch 1.
+std::unique_ptr<VersionedStore> StoreOf(const workload::CslData& data) {
+  Database db;
+  data.Load(&db);
+  auto store = std::make_unique<VersionedStore>();
+  EXPECT_TRUE(store->Recover().ok());
+  EXPECT_TRUE(store->BootstrapFromDatabase(db).ok());
+  return store;
+}
+
 QueryRequest UnsafeCountingRequest() {
   QueryRequest req;
   req.program_text = kCslSrc;
-  req.planner.allow_plain_counting = true;
-  req.planner.attempt_unsafe_counting = true;
+  req.planner.strategy = core::Strategy::kCounting;
   req.planner.allow_fallback = true;
   return req;
 }
@@ -189,14 +200,13 @@ class BreakerIntegrationTest : public ::testing::Test {
 };
 
 TEST_F(BreakerIntegrationTest, RepeatedDivergenceShortCircuitsToMagicSets) {
-  Database base;
-  CyclicData().Load(&base);
+  auto store = StoreOf(CyclicData());
 
   ServiceOptions opts;
   opts.workers = 1;  // serialize: strikes accumulate deterministically
   opts.breaker.strike_threshold = 2;
   opts.breaker.cooldown = std::chrono::milliseconds(60000);
-  QueryService svc(&base, opts);
+  QueryService svc(store.get(), opts);
 
   // First two requests pay for the doomed counting attempt (ladder saves
   // them), accumulating strikes.
@@ -226,14 +236,13 @@ TEST_F(BreakerIntegrationTest, RepeatedDivergenceShortCircuitsToMagicSets) {
 }
 
 TEST_F(BreakerIntegrationTest, CooldownLetsAProbeTryCountingAgain) {
-  Database base;
-  CyclicData().Load(&base);
+  auto store = StoreOf(CyclicData());
 
   ServiceOptions opts;
   opts.workers = 1;
   opts.breaker.strike_threshold = 1;
   opts.breaker.cooldown = std::chrono::milliseconds(50);
-  QueryService svc(&base, opts);
+  QueryService svc(store.get(), opts);
 
   auto first = svc.Submit(UnsafeCountingRequest())->Get();
   ASSERT_EQ(first.outcome, Outcome::kOk) << first.status.ToString();
@@ -258,22 +267,63 @@ TEST_F(BreakerIntegrationTest, CooldownLetsAProbeTryCountingAgain) {
 }
 
 TEST_F(BreakerIntegrationTest, SafeRequestsNeverConsultTheBreaker) {
-  Database base;
-  workload::MakeFigure1Style().Load(&base);
+  auto store = StoreOf(workload::MakeFigure1Style());
 
   ServiceOptions opts;
   opts.workers = 1;
   opts.breaker.strike_threshold = 1;
-  QueryService svc(&base, opts);
+  QueryService svc(store.get(), opts);
 
-  // Default planner options: no plain counting, no auto-select — the safe
-  // MC method needs no breaker permission and records no probe.
+  // Default planner options (Strategy::kSafe): the safe MC method needs no
+  // breaker permission and records no probe.
   QueryRequest req;
   req.program_text = kCslSrc;
   auto resp = svc.Submit(std::move(req))->Get();
   ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
   EXPECT_FALSE(resp.breaker_short_circuit);
   EXPECT_EQ(svc.stats().breaker_short_circuits, 0u);
+  svc.Shutdown(/*drain=*/true);
+}
+
+TEST_F(BreakerIntegrationTest, SpellingsAndPreParsedCopiesShareOneCircuit) {
+  auto store = StoreOf(CyclicData());
+
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.breaker.strike_threshold = 3;
+  opts.breaker.cooldown = std::chrono::milliseconds(60000);
+  QueryService svc(store.get(), opts);
+
+  // One program three ways: as written, respaced with a comment, and
+  // pre-parsed. Each pays for the doomed counting attempt once, and all
+  // three strikes land on the same signature.
+  QueryRequest respaced = UnsafeCountingRequest();
+  respaced.program_text =
+      "% the same query, spelled differently\n"
+      "p(X,Y) :- e(X,Y).\n"
+      "p(X, Y) :-\n    l(X, X1), p(X1, Y1),   r(Y, Y1).\n"
+      "p(0,Y)?\n";
+  QueryRequest pre_parsed = UnsafeCountingRequest();
+  auto program = dl::Parse(kCslSrc);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  pre_parsed.program = *program;
+  for (const QueryRequest& req :
+       {UnsafeCountingRequest(), respaced, pre_parsed}) {
+    auto resp = svc.Submit(req)->Get();
+    ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
+    EXPECT_FALSE(resp.breaker_short_circuit);
+    ASSERT_FALSE(resp.report.attempts.empty());
+    EXPECT_EQ(resp.report.attempts[0].method, "counting");
+  }
+  EXPECT_EQ(svc.stats().breaker_opens, 1u);
+
+  // The circuit is open for every spelling.
+  for (const QueryRequest& req :
+       {UnsafeCountingRequest(), respaced, pre_parsed}) {
+    auto resp = svc.Submit(req)->Get();
+    ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
+    EXPECT_TRUE(resp.breaker_short_circuit);
+  }
   svc.Shutdown(/*drain=*/true);
 }
 

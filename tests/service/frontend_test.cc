@@ -40,7 +40,7 @@ TEST(FrontendTest, SingleQueryMatchesTheOracle) {
   EXPECT_EQ(ok->tag, 1u);
   EXPECT_EQ(ok->tuples, want);
   EXPECT_FALSE(ok->stale);
-  EXPECT_GT(ok->epoch, 0u);  // hot-swap mode: pinned to a real version
+  EXPECT_GT(ok->epoch, 0u);  // pinned to a real store version
   EXPECT_TRUE(server.Stop());
 }
 

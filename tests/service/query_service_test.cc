@@ -10,8 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/planner.h"
 #include "datalog/parser.h"
 #include "service/query_service.h"
+#include "storage/versioned_store.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 #include "workload/generators.h"
@@ -33,19 +35,37 @@ QueryRequest SimpleRequest() {
   return req;
 }
 
+/// A store holding `db`'s relations at epoch 1.
+std::unique_ptr<VersionedStore> StoreOf(const Database& db) {
+  auto store = std::make_unique<VersionedStore>();
+  EXPECT_TRUE(store->Recover().ok());
+  EXPECT_TRUE(store->BootstrapFromDatabase(db).ok());
+  return store;
+}
+
 class QueryServiceTest : public ::testing::Test {
  protected:
-  void SetUp() override { workload::MakeFigure1Style().Load(&base_); }
+  void SetUp() override {
+    workload::MakeFigure1Style().Load(&base_);
+    store_ = StoreOf(base_);
+  }
   void TearDown() override { util::FaultInjection::Instance().DisarmAll(); }
 
   /// Occupy every worker: a sticky transient fault plus a huge retry budget
   /// with long backoff turns a request into a controllable blocker that
-  /// releases promptly on Cancel().
+  /// releases promptly on Cancel(). Returns once the blocker is running
+  /// (its first attempt hit the fault): a worker that has merely dequeued
+  /// it would still classify a cancel as cancelled-before-start.
   std::shared_ptr<QueryTicket> PinWorker(QueryService* svc) {
-    return svc->Submit(SimpleRequest());
+    auto ticket = svc->Submit(SimpleRequest());
+    while (util::FaultInjection::Instance().HitCount("service/execute") == 0) {
+      std::this_thread::yield();
+    }
+    return ticket;
   }
 
   Database base_;
+  std::unique_ptr<VersionedStore> store_;  ///< base_ at epoch 1
 };
 
 /// Options for a service whose single worker can be pinned indefinitely via
@@ -66,7 +86,7 @@ void ArmPinFault() {
 }
 
 TEST_F(QueryServiceTest, SimpleQueryAnswers) {
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   auto resp = svc.Submit(SimpleRequest())->Get();
   ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
   EXPECT_TRUE(resp.ran());
@@ -81,7 +101,7 @@ TEST_F(QueryServiceTest, SimpleQueryAnswers) {
 }
 
 TEST_F(QueryServiceTest, ParseErrorIsAFailedOutcomeNotACrash) {
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   QueryRequest req;
   req.program_text = "this is not datalog ((";
   auto resp = svc.Submit(std::move(req))->Get();
@@ -93,12 +113,11 @@ TEST_F(QueryServiceTest, ParseErrorIsAFailedOutcomeNotACrash) {
 
 TEST_F(QueryServiceTest, QueueFullShedsInBoundedTime) {
   ArmPinFault();
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
 
+  // The worker is busy with the blocker, so the next two submissions are
+  // *queued*, not running.
   auto pinned = PinWorker(&svc);
-  // Wait until the worker actually picked the blocker up, so the next two
-  // submissions are *queued*, not running.
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
 
   auto q1 = svc.Submit(SimpleRequest());
   auto q2 = svc.Submit(SimpleRequest());
@@ -129,10 +148,9 @@ TEST_F(QueryServiceTest, PredictiveShedRejectsUnmeetableDeadlines) {
   ArmPinFault();
   ServiceOptions opts = PinnableOptions();
   opts.expected_run_seconds_hint = 10.0;  // EWMA says runs take ~10s
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
 
   // 50ms of budget against an estimated multi-second queue wait: the
   // request would be dead before a worker frees up, so it never queues.
@@ -161,10 +179,9 @@ TEST_F(QueryServiceTest, DeadlineDuringQueueWaitNeverRuns) {
   ArmPinFault();
   ServiceOptions opts = PinnableOptions();
   opts.shed_unmeetable_deadlines = false;  // force the queue-wait path
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
 
   QueryRequest req = SimpleRequest();
   req.timeout_ms = 30;
@@ -185,10 +202,9 @@ TEST_F(QueryServiceTest, DeadlineDuringQueueWaitNeverRuns) {
 
 TEST_F(QueryServiceTest, CancelWhileQueuedNeverRuns) {
   ArmPinFault();
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
 
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
 
   auto ticket = svc.Submit(SimpleRequest());
   ticket->Cancel();  // cross-thread cancel: admitted, not yet picked up
@@ -205,7 +221,7 @@ TEST_F(QueryServiceTest, CancelWhileQueuedNeverRuns) {
 
 TEST_F(QueryServiceTest, MidFlightCancellationFromAnotherThread) {
   ArmPinFault();  // the blocker spins in governed retries until cancelled
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
   auto ticket = svc.Submit(SimpleRequest());
   while (svc.stats().in_flight == 0) std::this_thread::yield();
 
@@ -227,7 +243,7 @@ TEST_F(QueryServiceTest, TransientFaultIsRetriedOnce) {
   opts.workers = 1;
   opts.max_retries = 2;
   opts.retry_backoff_ms = 1;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
@@ -245,7 +261,7 @@ TEST_F(QueryServiceTest, RetriesExhaustToFailed) {
   opts.workers = 1;
   opts.max_retries = 2;
   opts.retry_backoff_ms = 1;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kFailed);
@@ -260,7 +276,7 @@ TEST_F(QueryServiceTest, NonTransientFaultIsNotRetried) {
   ServiceOptions opts;
   opts.workers = 1;
   opts.max_retries = 5;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kFailed);
@@ -272,10 +288,11 @@ TEST_F(QueryServiceTest, MemoryBudgetBoundsDerivedGrowth) {
   Database big;
   workload::MakeSameGeneration(/*people=*/120, /*max_parents=*/3,
                                /*seed=*/7).Load(&big);
+  auto store = StoreOf(big);
   ServiceOptions opts;
   opts.workers = 1;
   opts.total_memory_bytes = 1;  // derived data may grow ~1 byte: must trip
-  QueryService svc(&big, opts);
+  QueryService svc(store.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kFailed) << resp.status.ToString();
@@ -288,11 +305,12 @@ TEST_F(QueryServiceTest, PerRequestCapTighterThanShareWins) {
   Database big;
   workload::MakeSameGeneration(/*people=*/120, /*max_parents=*/3,
                                /*seed=*/7).Load(&big);
+  auto store = StoreOf(big);
   ServiceOptions opts;
   opts.workers = 1;
   // Service-level budget is generous; the request brings its own tiny cap.
   opts.total_memory_bytes = 1ull << 30;
-  QueryService svc(&big, opts);
+  QueryService svc(store.get(), opts);
 
   QueryRequest req = SimpleRequest();
   req.planner.run.max_memory_bytes = 1;
@@ -305,9 +323,8 @@ TEST_F(QueryServiceTest, PerRequestCapTighterThanShareWins) {
 
 TEST_F(QueryServiceTest, ShutdownWithoutDrainCancelsQueuedRequests) {
   ArmPinFault();
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
   auto queued = svc.Submit(SimpleRequest());
 
   pinned->Cancel();
@@ -319,7 +336,7 @@ TEST_F(QueryServiceTest, ShutdownWithoutDrainCancelsQueuedRequests) {
 }
 
 TEST_F(QueryServiceTest, SubmitAfterShutdownIsShedNotCrashed) {
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   svc.Shutdown(/*drain=*/true);
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kRejectedOverload);
@@ -329,7 +346,7 @@ TEST_F(QueryServiceTest, SubmitAfterShutdownIsShedNotCrashed) {
 TEST_F(QueryServiceTest, PreParsedProgramSkipsTheParser) {
   auto prog = dl::Parse(kCslSrc);
   ASSERT_TRUE(prog.ok());
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   QueryRequest req;
   req.program = *prog;  // no program_text at all
   auto resp = svc.Submit(std::move(req))->Get();
@@ -351,7 +368,7 @@ TEST_F(QueryServiceTest, StatsInvariantAcrossAMixedBatch) {
   ServiceOptions opts;
   opts.workers = 4;
   opts.queue_depth = 64;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 20; ++i) {
     QueryRequest req;
@@ -380,42 +397,36 @@ QueryRequest MembershipRequest() {
 }
 
 TEST_F(QueryServiceTest, StoreBackedServiceMatchesFrozenDatabaseAnswers) {
-  VersionedStore store;
-  ASSERT_TRUE(store.Recover().ok());
-  ASSERT_TRUE(store.BootstrapFromDatabase(base_).ok());
+  // The planner straight on the Database the store was bootstrapped from.
+  auto prog = dl::Parse(kCslSrc);
+  ASSERT_TRUE(prog.ok());
+  auto want = core::SolveProgram(&base_, *prog);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  QueryService frozen(&base_, {});
-  auto want = frozen.Submit(SimpleRequest())->Get();
-  ASSERT_EQ(want.outcome, Outcome::kOk) << want.status.ToString();
-  EXPECT_EQ(want.edb_epoch, 0u);  // frozen mode never reports an epoch
-
-  QueryService svc(&store, {});
+  QueryService svc(store_.get(), {});
   auto resp = svc.Submit(SimpleRequest())->Get();
   ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
   EXPECT_EQ(resp.edb_epoch, 1u);  // the bootstrap batch
-  EXPECT_EQ(resp.report.results.size(), want.report.results.size());
+  EXPECT_EQ(resp.report.results, want->results);
 }
 
 TEST_F(QueryServiceTest, ZeroCopyBaseMatchesDeepCopyAnswers) {
-  VersionedStore store;
-  ASSERT_TRUE(store.Recover().ok());
-  ASSERT_TRUE(store.BootstrapFromDatabase(base_).ok());
+  // Reference: the planner on a deep copy of the pinned version.
+  std::shared_ptr<const EdbVersion> pin = store_->Pin();
+  Database copied(&store_->symbols());
+  ASSERT_TRUE(pin->SnapshotInto(&copied).ok());
+  auto prog = dl::Parse(kCslSrc);
+  ASSERT_TRUE(prog.ok());
+  auto want = core::SolveProgram(&copied, *prog);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  ServiceOptions copy_opts;
-  copy_opts.zero_copy_base = false;
-  QueryService copying(&store, copy_opts);
-  auto want = copying.Submit(SimpleRequest())->Get();
-  ASSERT_EQ(want.outcome, Outcome::kOk) << want.status.ToString();
-
-  QueryService borrowing(&store, {});  // zero_copy_base defaults on
+  QueryService borrowing(store_.get(), {});
   auto got = borrowing.Submit(SimpleRequest())->Get();
   ASSERT_EQ(got.outcome, Outcome::kOk) << got.status.ToString();
 
-  EXPECT_EQ(got.edb_epoch, want.edb_epoch);
-  ASSERT_EQ(got.report.results.size(), want.report.results.size());
-  for (size_t i = 0; i < want.report.results.size(); ++i) {
-    EXPECT_EQ(got.report.results[i], want.report.results[i]);
-  }
+  EXPECT_EQ(got.edb_epoch, pin->epoch());
+  EXPECT_EQ(got.report.results, want->results);
+  EXPECT_EQ(got.report.stats.tuples_read, want->stats.tuples_read);
 }
 
 TEST_F(QueryServiceTest, ZeroCopyProgramFactsOnEdbPredicatesStayPrivate) {

@@ -102,41 +102,6 @@ TEST(AccessStats, ToStringHasCounters) {
   EXPECT_NE(s.ToString().find("reads=42"), std::string::npos);
 }
 
-TEST(Database, SnapshotIntoCopiesEveryRelation) {
-  Database src;
-  Relation* e = src.GetOrCreateRelation("e", 2);
-  e->Insert2(1, 2);
-  e->Insert2(2, 3);
-  Relation* n = src.GetOrCreateRelation("n", 1);
-  n->Insert(Tuple{7});
-
-  Database dst;
-  ASSERT_TRUE(src.SnapshotInto(&dst).ok());
-  ASSERT_NE(dst.Find("e"), nullptr);
-  EXPECT_EQ(dst.Find("e")->size(), 2u);
-  ASSERT_NE(dst.Find("n"), nullptr);
-  EXPECT_EQ(dst.Find("n")->size(), 1u);
-
-  // The snapshot is a copy: growing it leaves the source untouched.
-  dst.Find("e")->Insert2(3, 4);
-  EXPECT_EQ(src.Find("e")->size(), 2u);
-}
-
-TEST(Database, SnapshotIntoMergesIntoExistingRelations) {
-  Database src;
-  src.GetOrCreateRelation("e", 2)->Insert2(1, 2);
-  Database dst;
-  dst.GetOrCreateRelation("e", 2)->Insert2(9, 9);
-  ASSERT_TRUE(src.SnapshotInto(&dst).ok());
-  EXPECT_EQ(dst.Find("e")->size(), 2u);
-
-  Database bad;
-  bad.GetOrCreateRelation("e", 3);
-  Status st = src.SnapshotInto(&bad);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("arity mismatch"), std::string::npos);
-}
-
 TEST(Database, AttachBorrowedSharesAndCountsIntoDatabaseStats) {
   auto base = std::make_shared<Relation>("edge", 2);
   base->Insert2(1, 2);
@@ -173,14 +138,13 @@ TEST(Database, AttachBorrowedRejectsExistingName) {
 }
 
 TEST(Database, SnapshotIntoPinnedVersionsUnderConcurrentHotSwap) {
-  // Regression for the concurrent-hot-swap audit (database.h): a frozen
-  // Database may be snapshotted from many threads, and the versioned store
-  // extends that to a *moving* EDB by never mutating relations in place.
-  // Readers snapshot pinned versions while a writer commits; every snapshot
-  // must be internally consistent with its pinned epoch (here: relation
-  // size == epoch, an invariant a torn read would break). Run under
-  // TSan/ASan this also proves the absence of data races on the shared
-  // relation storage.
+  // Regression for the concurrent-hot-swap audit: the versioned store
+  // never mutates relations in place, so pinned versions may be copied
+  // from many threads while a writer commits. Every snapshot must be
+  // internally consistent with its pinned epoch (here: relation size ==
+  // epoch, an invariant a torn read would break). Run under TSan/ASan
+  // this also proves the absence of data races on the shared relation
+  // storage.
   VersionedStore store;
   ASSERT_TRUE(store.Recover().ok());
   UpdateBatch setup;

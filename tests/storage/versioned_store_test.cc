@@ -222,8 +222,7 @@ TEST_F(VersionedStoreTest, SnapshotIntoWorkingDatabase) {
   Value bob = work.symbols().Find("bob");
   EXPECT_TRUE(work.Find("parent")->Contains(Tuple{ann, bob}));
 
-  // Arity clash with a pre-existing relation is an error, as with
-  // Database::SnapshotInto.
+  // Arity clash with a pre-existing relation is an error.
   Database clash(&store.symbols());
   clash.GetOrCreateRelation("parent", 3);
   EXPECT_FALSE(store.Pin()->SnapshotInto(&clash).ok());
