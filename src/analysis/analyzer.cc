@@ -64,10 +64,13 @@ AnalysisResult Analyze(const dl::Program& program,
   result.deps = AnalyzeDependencies(program, options.db, &result.diagnostics);
   AnalyzeBindings(program, result.deps, &result.diagnostics);
   if (options.counting_safety) {
-    result.safety =
-        AnalyzeCountingSafety(program, options.db, &result.diagnostics);
-    result.cost =
-        AnalyzeCost(program, result.safety, options.db, &result.diagnostics);
+    // One magic graph per request: the safety pass builds it, the cost pass
+    // reads it, and it dies with this call.
+    MagicGraphFacts facts;
+    result.safety = AnalyzeCountingSafety(program, options.db, &facts,
+                                          &result.diagnostics);
+    result.cost = AnalyzeCost(program, result.safety, facts,
+                              &result.diagnostics);
   }
 
   result.diagnostics.SortBySpan();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "graph/query_graph.h"
 #include "util/string_util.h"
 
 namespace mcm::analysis {
@@ -84,17 +83,6 @@ std::string CostReport::ToString() const {
 
 namespace {
 
-/// Resolve a binary relation from `primary` (may be null) falling back to
-/// the scratch database of materialized program facts.
-const Relation* FindBinary(const Database* primary, const Database& scratch,
-                           const std::string& name) {
-  if (name.empty()) return nullptr;
-  const Relation* rel =
-      primary != nullptr ? primary->Find(name) : scratch.Find(name);
-  if (rel != nullptr && rel->arity() == 2 && !rel->empty()) return rel;
-  return nullptr;
-}
-
 struct Regions {
   // Per magic-graph node membership of the counting regions of Tables 3-5.
   std::vector<bool> all;            ///< every node (counting, basic)
@@ -148,8 +136,8 @@ Regions ComputeRegions(const graph::Digraph& g,
 }  // namespace
 
 CostReport AnalyzeCost(const dl::Program& program,
-                       const CountingSafetyReport& safety, const Database* db,
-                       dl::DiagnosticBag* bag) {
+                       const CountingSafetyReport& safety,
+                       const MagicGraphFacts& facts, dl::DiagnosticBag* bag) {
   CostReport report;
   if (safety.form == QueryForm::kNotStronglyLinear ||
       program.queries.size() != 1) {
@@ -171,70 +159,38 @@ CostReport AnalyzeCost(const dl::Program& program,
         "the L-part is a conjunction; its graph exists only after "
         "materialization");
   }
-  if (!safety.have_source_term) {
-    return give_up("the query's bound constant is not statically known");
-  }
-
-  // One statistics source, mirroring the safety pass: a caller database
-  // holding the L relation wins; otherwise in-program ground facts.
-  Database scratch;
-  const Database* primary = nullptr;
-  if (db != nullptr && db->Find(safety.l_predicate) != nullptr) {
-    primary = db;
-  } else {
-    MaterializeGroundFacts(program, safety.l_predicate, &scratch);
-    if (!safety.e_predicate.empty()) {
-      MaterializeGroundFacts(program, safety.e_predicate, &scratch);
-    }
-    if (!safety.r_predicate.empty()) {
-      MaterializeGroundFacts(program, safety.r_predicate, &scratch);
-    }
-  }
-  const Relation* l_rel = FindBinary(primary, scratch, safety.l_predicate);
-  const Relation* e_rel = FindBinary(primary, scratch, safety.e_predicate);
-  const Relation* r_rel = FindBinary(primary, scratch, safety.r_predicate);
-  if (l_rel == nullptr) {
+  if (facts.l == nullptr || facts.l->arity() != 2 || facts.l->empty()) {
     return give_up("no binary facts or stored relation for '" +
                    safety.l_predicate + "'");
   }
-
-  const SymbolTable& symbols =
-      primary != nullptr ? primary->symbols() : scratch.symbols();
-  Value source = 0;
-  if (!ResolveGroundTerm(safety.source_term, symbols, &source)) {
+  if (!facts.source_known) {
     return give_up("query constant never occurs in the data: the magic "
                    "graph is the isolated source node and every method is "
                    "O(1)");
   }
+  if (!facts.graph.has_value()) return give_up(facts.build_error);
 
-  // Build the query graph. With E and R available the reachable R-side
-  // gives the exact m_R; otherwise classify from L alone and fall back to
-  // |R| as an upper bound on m_R.
-  Relation empty_e("mcm_cost_e", 2), empty_r("mcm_cost_r", 2);
-  bool full_graph = e_rel != nullptr && r_rel != nullptr;
-  auto qg = graph::QueryGraph::Build(*l_rel, full_graph ? *e_rel : empty_e,
-                                     full_graph ? *r_rel : empty_r, source);
-  if (!qg.ok()) {
-    return give_up(qg.status().message());
-  }
-  report.n_l = qg->n_l();
-  report.m_l = qg->m_l();
-  report.m_e = qg->m_e();
-  if (full_graph) {
-    report.m_r = qg->m_r();
+  // With E and R in the build the reachable R-side gives the exact m_R;
+  // otherwise |R| is an upper bound on it.
+  const graph::QueryGraph& qg = *facts.graph;
+  report.n_l = qg.n_l();
+  report.m_l = qg.m_l();
+  report.m_e = qg.m_e();
+  if (facts.full_graph()) {
+    report.m_r = qg.m_r();
     report.m_r_exact = true;
-  } else if (r_rel != nullptr) {
-    report.m_r = r_rel->size();
+  } else if (facts.r != nullptr) {
+    report.m_r = facts.r->size();
   } else {
     return give_up("no stored relation for the R part; m_R is unknown");
   }
 
-  report.params = graph::AnalyzeMagicGraph(qg->magic_graph(), qg->source());
+  report.params = facts.classes;
   report.graph_class = report.params.graph_class;
   report.computed = true;
 
   const graph::MagicGraphAnalysis& mga = report.params;
-  const graph::Digraph& g = qg->magic_graph();
+  const graph::Digraph& g = qg.magic_graph();
   Regions regions = ComputeRegions(g, mga);
 
   double n_l = static_cast<double>(report.n_l);

@@ -1,9 +1,8 @@
 #include "analysis/safety.h"
 
 #include <algorithm>
+#include <variant>
 
-#include "graph/query_graph.h"
-#include "rewrite/csl.h"
 #include "rewrite/strongly_linear.h"
 
 namespace mcm::analysis {
@@ -88,30 +87,8 @@ dl::Span RecursiveRuleSpan(const dl::Program& program,
   return dl::Span{};
 }
 
-/// Split into goal-predicate rules and support rules; mirrors the planner.
-/// Returns false when a support rule depends on the goal predicate (the
-/// program is then outside the strongly linear class).
-bool SplitByGoal(const dl::Program& program, const std::string& goal_pred,
-                 dl::Program* goal_part, dl::Program* support) {
-  for (const dl::Rule& r : program.rules) {
-    if (r.head.predicate == goal_pred) {
-      goal_part->rules.push_back(r);
-      continue;
-    }
-    for (const dl::Literal& lit : r.body) {
-      if (lit.kind == dl::Literal::Kind::kAtom &&
-          lit.atom.predicate == goal_pred) {
-        return false;
-      }
-    }
-    support->rules.push_back(r);
-  }
-  goal_part->queries = program.queries;
-  return true;
-}
-
-}  // namespace
-
+/// Resolve a ground term against a symbol table without interning; returns
+/// false when the symbol is unknown to `symbols`.
 bool ResolveGroundTerm(const dl::Term& t, const SymbolTable& symbols,
                        Value* out) {
   if (t.kind == dl::Term::Kind::kInt) {
@@ -127,6 +104,7 @@ bool ResolveGroundTerm(const dl::Term& t, const SymbolTable& symbols,
   return false;
 }
 
+/// Materialize the in-program ground facts for `pred` into `scratch`.
 void MaterializeGroundFacts(const dl::Program& program, const std::string& pred,
                             Database* scratch) {
   for (const dl::Rule& r : program.rules) {
@@ -151,7 +129,56 @@ void MaterializeGroundFacts(const dl::Program& program, const std::string& pred,
   }
 }
 
-namespace {
+/// `name` in `source` when it is binary and non-empty, else null.
+const Relation* FindBinary(const Database& source, const std::string& name) {
+  if (name.empty()) return nullptr;
+  const Relation* rel = source.Find(name);
+  return rel != nullptr && rel->arity() == 2 && !rel->empty() ? rel : nullptr;
+}
+
+/// Resolve the statistics source and the query constant, then build G_Q
+/// and classify G_L: the one magic-graph analysis of a request.
+void BuildMagicGraph(const dl::Program& program,
+                     const CountingSafetyReport& report,
+                     const dl::Term& constant, const Database* db,
+                     MagicGraphFacts* facts) {
+  const Database* source_db = db;
+  if (db == nullptr || db->Find(report.l_predicate) == nullptr) {
+    for (const std::string* pred :
+         {&report.l_predicate, &report.e_predicate, &report.r_predicate}) {
+      if (!pred->empty()) {
+        MaterializeGroundFacts(program, *pred, &facts->scratch);
+      }
+    }
+    source_db = &facts->scratch;
+  }
+  facts->l = source_db->Find(report.l_predicate);
+  if (source_db == &facts->scratch && facts->l != nullptr &&
+      facts->l->empty()) {
+    facts->l = nullptr;
+  }
+  facts->e = FindBinary(*source_db, report.e_predicate);
+  facts->r = FindBinary(*source_db, report.r_predicate);
+  if (facts->l == nullptr || facts->l->arity() != 2) return;
+
+  Value source = 0;
+  facts->source_known =
+      ResolveGroundTerm(constant, source_db->symbols(), &source);
+  if (!facts->source_known) return;
+
+  // G_L depends only on L and the source; E and R add the exact m_R.
+  Relation no_e("mcm_no_e", 2), no_r("mcm_no_r", 2);
+  bool full = facts->full_graph();
+  auto qg = graph::QueryGraph::Build(*facts->l, full ? *facts->e : no_e,
+                                     full ? *facts->r : no_r, source);
+  if (!qg.ok()) {
+    facts->build_error = qg.status().message();
+    return;
+  }
+  facts->graph.emplace(std::move(*qg));
+  facts->classes = graph::AnalyzeMagicGraph(facts->graph->magic_graph(),
+                                            facts->graph->source());
+}
 
 void AddMcVerdicts(CountingSafetyReport* report) {
   struct VariantRow {
@@ -206,132 +233,77 @@ void AddMcVerdicts(CountingSafetyReport* report) {
 
 CountingSafetyReport AnalyzeCountingSafety(const dl::Program& program,
                                            const Database* db,
+                                           MagicGraphFacts* facts,
                                            dl::DiagnosticBag* bag) {
   CountingSafetyReport report;
-  if (program.queries.size() != 1) return report;
+  Result<rewrite::RecognizedQuery> recognized =
+      rewrite::RecognizeQuery(program);
+  if (!recognized.ok()) return report;  // outside the paper's class
   const dl::Query& query = program.queries[0];
 
-  dl::Program goal_part, support;
-  if (!SplitByGoal(program, query.goal.predicate, &goal_part, &support)) {
-    return report;
-  }
-
-  // Recognize the query form, preferring the cheaper-to-run shapes, exactly
-  // like the planner's strategy order.
   std::string unknown_reason;
-  dl::Term source_constant;
-  bool have_source_term = false;
-  Result<rewrite::CslQuery> csl = rewrite::RecognizeCsl(goal_part);
-  if (csl.ok()) {
+  dl::Term constant;
+  if (const auto* csl = std::get_if<rewrite::CslQuery>(&recognized->form)) {
     report.form = QueryForm::kCanonical;
     report.signature = csl->ToString();
     report.l_predicate = csl->l;
     report.e_predicate = csl->e;
     report.r_predicate = csl->r;
-    source_constant = csl->source;
-    have_source_term = true;
-  } else {
-    Result<rewrite::StronglyLinearQuery> slq =
-        rewrite::RecognizeStronglyLinear(goal_part);
-    if (slq.ok()) {
-      report.form = QueryForm::kComposed;
-      report.signature = slq->ToString();
-      source_constant = slq->source;
-      have_source_term = true;
-      if (slq->prefix_is_atom) {
-        report.l_predicate = slq->prefix[0].atom.predicate;
-      } else {
-        unknown_reason =
-            "the L-part is a conjunction; its graph exists only after "
-            "materialization";
-      }
-      if (slq->exit_is_atom) {
-        report.e_predicate = slq->exit_body[0].atom.predicate;
-      }
-      if (slq->suffix_is_atom) {
-        report.r_predicate = slq->suffix[0].atom.predicate;
-      }
+    constant = csl->source;
+  } else if (const auto* slq = std::get_if<rewrite::StronglyLinearQuery>(
+                 &recognized->form)) {
+    report.form = QueryForm::kComposed;
+    report.signature = slq->ToString();
+    constant = slq->source;
+    if (slq->prefix_is_atom) {
+      report.l_predicate = slq->prefix[0].atom.predicate;
     } else {
-      Result<rewrite::ReverseCsl> rev =
-          rewrite::RecognizeReverseCsl(goal_part, "mcm_eswap");
-      if (rev.ok()) {
-        report.form = QueryForm::kReverseBound;
-        report.signature = rev->csl.ToString();
-        // The mirrored query's magic graph is the graph of the original R.
-        report.l_predicate = rev->csl.l;
-        // The mirrored E ("mcm_eswap") only exists after materialization,
-        // so leave e_predicate empty; the mirrored R is the original L.
-        report.r_predicate = rev->csl.r;
-        source_constant = rev->csl.source;
-        have_source_term = true;
-      } else {
-        return report;  // outside the paper's class: nothing to report
-      }
+      unknown_reason =
+          "the L-part is a conjunction; its graph exists only after "
+          "materialization";
     }
+    if (slq->exit_is_atom) {
+      report.e_predicate = slq->exit_body[0].atom.predicate;
+    }
+    if (slq->suffix_is_atom) {
+      report.r_predicate = slq->suffix[0].atom.predicate;
+    }
+  } else {
+    const auto& rev = std::get<rewrite::ReverseCsl>(recognized->form);
+    report.form = QueryForm::kReverseBound;
+    report.signature = rev.csl.ToString();
+    // The mirrored query's magic graph is the graph of the original R.
+    report.l_predicate = rev.csl.l;
+    // The mirrored E ("mcm_eswap") only exists after materialization,
+    // so leave e_predicate empty; the mirrored R is the original L.
+    report.r_predicate = rev.csl.r;
+    constant = rev.csl.source;
   }
-
-  report.source_term = source_constant;
-  report.have_source_term = have_source_term;
 
   bag->Add(DiagCode::kQueryClassCsl, query.span(),
            "query is " + std::string(QueryFormToString(report.form)) + ": " +
                report.signature);
-  const dl::Term* source_term =
-      have_source_term ? &source_constant : nullptr;
 
-  // Pick the EDB statistics source: a caller-supplied database that already
-  // holds the L relation wins; otherwise in-program ground facts are
-  // materialized into a scratch database.
-  Database scratch;
-  const Relation* l_rel = nullptr;
-  const SymbolTable* symbols = nullptr;
   if (!report.l_predicate.empty()) {
-    if (db != nullptr && db->Find(report.l_predicate) != nullptr) {
-      l_rel = db->Find(report.l_predicate);
-      symbols = &db->symbols();
-    } else {
-      MaterializeGroundFacts(program, report.l_predicate, &scratch);
-      if (const Relation* rel = scratch.Find(report.l_predicate);
-          rel != nullptr && !rel->empty()) {
-        l_rel = rel;
-        symbols = &scratch.symbols();
-      } else {
-        unknown_reason = "no facts or stored relation for '" +
-                         report.l_predicate + "'";
-      }
-    }
-  }
-
-  Value source = 0;
-  bool have_source = false;
-  if (l_rel != nullptr && l_rel->arity() == 2 && source_term != nullptr) {
-    have_source = ResolveGroundTerm(*source_term, *symbols, &source);
-    if (!have_source) {
+    BuildMagicGraph(program, report, constant, db, facts);
+    if (facts->l == nullptr) {
+      unknown_reason =
+          "no facts or stored relation for '" + report.l_predicate + "'";
+    } else if (facts->l->arity() != 2) {
+      unknown_reason = "relation '" + report.l_predicate + "' is not binary";
+    } else if (!facts->source_known) {
       // The query constant never occurs in the data: the magic graph is the
       // isolated source node — trivially regular, every method safe.
       report.analyzed = true;
       report.graph_class = graph::GraphClass::kRegular;
       report.magic_nodes = 1;
       report.single_nodes = 1;
-    }
-  } else if (l_rel != nullptr && l_rel->arity() != 2) {
-    unknown_reason = "relation '" + report.l_predicate + "' is not binary";
-    l_rel = nullptr;
-  }
-
-  if (l_rel != nullptr && have_source) {
-    // The magic graph depends only on the L arcs and the source, so empty
-    // E/R stand-ins suffice for classification.
-    Relation empty_e("mcm_lint_e", 2), empty_r("mcm_lint_r", 2);
-    auto qg = graph::QueryGraph::Build(*l_rel, empty_e, empty_r, source);
-    if (qg.ok()) {
-      graph::MagicGraphAnalysis mga =
-          graph::AnalyzeMagicGraph(qg->magic_graph(), qg->source());
+    } else if (facts->graph.has_value()) {
       report.analyzed = true;
-      report.graph_class = mga.graph_class;
-      report.magic_nodes = qg->n_l();
-      report.magic_arcs = qg->m_l();
-      for (graph::NodeClass c : mga.node_class) {
+      report.graph_class = facts->classes.graph_class;
+      report.magic_nodes = facts->graph->n_l();
+      report.magic_arcs = facts->graph->m_l();
+      for (graph::NodeClass c : facts->classes.node_class) {
         switch (c) {
           case graph::NodeClass::kSingle: ++report.single_nodes; break;
           case graph::NodeClass::kMultiple: ++report.multiple_nodes; break;
@@ -339,7 +311,7 @@ CountingSafetyReport AnalyzeCountingSafety(const dl::Program& program,
         }
       }
     } else {
-      unknown_reason = qg.status().message();
+      unknown_reason = facts->build_error;
     }
   }
 

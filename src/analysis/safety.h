@@ -2,8 +2,9 @@
 // fixpoint runs).
 //
 // Classifies the program's query form (canonical / derived strongly linear /
-// reverse-bound), builds the magic-graph skeleton from the program's ground
-// facts plus any supplied EDB relations, classifies its nodes
+// reverse-bound, rewrite::RecognizeQuery), builds the request's one query
+// graph G_Q — and with it the magic graph G_L — from the caller's EDB
+// relations or the program's ground facts, classifies its nodes
 // (single / multiple / recurring, Proposition 1), and renders a per-method
 // verdict table:
 //   * pure counting is unsafe exactly when the magic graph is cyclic — a
@@ -14,16 +15,18 @@
 //     independent/integrated) is safe on every instance: Step 1 routes the
 //     offending nodes to the restricted magic set RM, satisfying the
 //     theorems by construction (Proposition 3).
-// The planner consumes the table to refuse plain-counting plans statically
-// instead of discovering divergence mid-fixpoint.
+// The cost pass (pass 5) reads the same graph, and the planner reads the
+// verdicts: Strategy::kAuto ranks plain counting only on a safe verdict.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "datalog/ast.h"
 #include "datalog/diagnostic.h"
 #include "graph/classify.h"
+#include "graph/query_graph.h"
 #include "storage/database.h"
 
 namespace mcm::analysis {
@@ -63,10 +66,6 @@ struct CountingSafetyReport {
   /// for reverse-bound queries, when the mirrored E is not materialized yet.
   std::string e_predicate;
   std::string r_predicate;
-  /// The query's bound constant (feeds the cost pass); meaningful only when
-  /// `have_source_term` is set.
-  dl::Term source_term;
-  bool have_source_term = false;
 
   /// True when EDB statistics were available and the magic graph was built.
   bool analyzed = false;
@@ -89,24 +88,42 @@ struct CountingSafetyReport {
   std::string ToString() const;
 };
 
-/// Analyze the query of `program` (the paper's single-query form). `db`
-/// supplies EDB statistics and may be null; in-program ground facts are
-/// always considered (materialized into a scratch database when `db` lacks
-/// the L relation). Appends W401 when pure counting is statically unsafe
-/// and N501/N502 notes describing what was (or could not be) decided.
+/// \brief The magic graph of one request and the statistics it came from.
+///
+/// The statistics source is the caller's database when it holds L,
+/// otherwise a scratch database of the program's L/E/R facts. The safety
+/// pass fills this once per Analyze call; the cost pass only reads it. The
+/// relation pointers point into the caller's database or `scratch`, so the
+/// value lives on Analyze's stack and never outlives it.
+struct MagicGraphFacts {
+  Database scratch;
+  /// L in the statistics source; null when the scratch database has no L
+  /// facts. May be empty or non-binary when the caller stores it so.
+  const Relation* l = nullptr;
+  /// E and R in the statistics source when binary and non-empty, else null.
+  const Relation* e = nullptr;
+  const Relation* r = nullptr;
+  /// The query constant occurs in the statistics source's symbols.
+  bool source_known = false;
+  /// G_Q from `source`, built when L is binary and the constant is known.
+  /// It includes the E and R arcs when both `e` and `r` are set, so m_R is
+  /// exact then; G_L (magic_graph()) never depends on them.
+  std::optional<graph::QueryGraph> graph;
+  graph::MagicGraphAnalysis classes;  ///< Proposition 1 classes of G_L
+  std::string build_error;            ///< why `graph` is empty after a build
+
+  /// Both E and R went into the build.
+  bool full_graph() const { return e != nullptr && r != nullptr; }
+};
+
+/// Analyze the query of `program` (the paper's single-query form) and fill
+/// `facts` with its magic graph. `db` supplies EDB statistics and may be
+/// null; in-program ground facts are used when `db` lacks the L relation.
+/// Appends W401 when pure counting is statically unsafe and N501/N502 notes
+/// describing what was (or could not be) decided.
 CountingSafetyReport AnalyzeCountingSafety(const dl::Program& program,
                                            const Database* db,
+                                           MagicGraphFacts* facts,
                                            dl::DiagnosticBag* bag);
-
-/// Materialize the in-program ground facts for `pred` into `scratch`.
-/// Shared by the safety and cost passes (both fall back to program facts
-/// when the caller supplies no database).
-void MaterializeGroundFacts(const dl::Program& program, const std::string& pred,
-                            Database* scratch);
-
-/// Resolve a ground term against a symbol table without interning; returns
-/// false when the symbol is unknown to `symbols`.
-bool ResolveGroundTerm(const dl::Term& t, const SymbolTable& symbols,
-                       Value* out);
 
 }  // namespace mcm::analysis

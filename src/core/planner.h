@@ -5,10 +5,11 @@
 //  0. The static analyzer (analysis::Analyze) runs once over the program:
 //     validation errors abort planning, and its counting-safety verdict
 //     table gates the strategies below.
-//  1. If the query's recursive part is a canonical strongly linear (CSL)
-//     query — allowing L, E, R to be *derived* predicates defined in lower,
-//     non-recursive strata, the generalization Section 1 of the paper
-//     mentions — the support strata are materialized first and the query is
+//  1. If rewrite::RecognizeQuery (the recognizer the safety pass uses too)
+//     finds a strongly linear form — canonical CSL with L, E, R stored or
+//     *derived* in lower, non-recursive strata, conjunctive L/E/R (the
+//     generalization Section 1 of the paper mentions), or reverse-bound
+//     P(X, b) — the support strata are materialized first and the query is
 //     answered by walking the method ladder that PlannerOptions::strategy
 //     selects (by default from multiple / integrated, the best safe
 //     all-rounder of the family).
@@ -40,7 +41,8 @@ namespace mcm::core {
 
 /// Which strategy the planner ended up using.
 enum class PlanKind : uint8_t {
-  kCounting,       ///< pure counting (only when statically proven safe)
+  kCounting,       ///< pure counting: ranked by kAuto only when statically
+                   ///< safe, attempted by kCounting under the governor
   kMagicCounting,  ///< CSL path: Step1 + Step2 of the chosen MC method
   kMagicSets,      ///< generalized magic rewriting
   kBottomUp,       ///< plain seminaive evaluation

@@ -195,6 +195,43 @@ Result<StronglyLinearQuery> RecognizeStronglyLinear(
   return out;
 }
 
+Result<RecognizedQuery> RecognizeQuery(const dl::Program& program) {
+  if (program.queries.size() != 1) {
+    return Status::Unsupported("expected exactly one query");
+  }
+  const std::string& p = program.queries[0].goal.predicate;
+
+  dl::Program goal_part;
+  RecognizedQuery out;
+  for (const dl::Rule& r : program.rules) {
+    if (r.head.predicate == p) {
+      goal_part.rules.push_back(r);
+      continue;
+    }
+    for (const dl::Literal& lit : r.body) {
+      if (lit.kind == dl::Literal::Kind::kAtom && lit.atom.predicate == p) {
+        return Status::Unsupported("predicate '" + r.head.predicate +
+                                   "' depends on the query predicate");
+      }
+    }
+    out.support.rules.push_back(r);
+  }
+  goal_part.queries = program.queries;
+
+  // Canonical first (nothing to materialize), then the conjunctive
+  // generalization, then the mirrored reverse-bound query.
+  if (Result<CslQuery> csl = RecognizeCsl(goal_part); csl.ok()) {
+    out.form = std::move(*csl);
+  } else if (Result<StronglyLinearQuery> slq =
+                 RecognizeStronglyLinear(goal_part);
+             slq.ok()) {
+    out.form = std::move(*slq);
+  } else {
+    MCM_ASSIGN_OR_RETURN(out.form, RecognizeReverseCsl(goal_part, "mcm_eswap"));
+  }
+  return out;
+}
+
 Result<CslQuery> MaterializeStronglyLinear(Database* db,
                                            const StronglyLinearQuery& slq,
                                            const SlNames& names) {

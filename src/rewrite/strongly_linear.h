@@ -19,9 +19,14 @@
 //   r*(Y, Yr)  :- <suffix>.
 // which MaterializeStronglyLinear() evaluates into relations so the magic
 // counting machinery applies unchanged.
+//
+// RecognizeQuery() is the one entry point the analyzer and the planner
+// share: it splits a program around its query goal and tries the
+// canonical, strongly linear and reverse-bound forms in that order.
 #pragma once
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -59,6 +64,26 @@ struct StronglyLinearQuery {
 /// predicate plus one query with bound first argument). Canonical CSL
 /// queries are a special case and always recognized.
 [[nodiscard]] Result<StronglyLinearQuery> RecognizeStronglyLinear(
+    const dl::Program& program);
+
+/// \brief A single-query program whose recursive part has a strongly
+/// linear form.
+struct RecognizedQuery {
+  /// Rules and facts for every predicate but the goal's. They define any
+  /// derived L/E/R, so they run before the query.
+  dl::Program support;
+  /// The first form that matched: canonical (literal L/E/R), composed
+  /// (conjunctive L/E/R, see MaterializeStronglyLinear) or reverse-bound
+  /// (the mirrored forward query over E swapped into "mcm_eswap").
+  std::variant<CslQuery, StronglyLinearQuery, ReverseCsl> form;
+};
+
+/// Split `program` into its goal predicate's rules and the support rules,
+/// then recognize the goal rules as canonical CSL, else strongly linear,
+/// else reverse-bound CSL. Unsupported when the program does not have
+/// exactly one query, a support rule depends on the goal predicate, or no
+/// form matches.
+[[nodiscard]] Result<RecognizedQuery> RecognizeQuery(
     const dl::Program& program);
 
 /// Names used for materialized composition relations.
