@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "datalog/parser.h"
+#include "eval/engine.h"
 #include "workload/generators.h"
 
 namespace mcm::core {
@@ -413,6 +414,60 @@ TEST_F(PlannerTest, ExplainNonCslQuery) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kMagicSets);
   EXPECT_TRUE(report->results.empty());
+}
+
+// A strongly linear predicate with neither facts nor a stored relation is
+// the empty relation: R here. Solving must run the ladder explain reports,
+// not slip to the generalized magic rewrite.
+TEST_F(PlannerTest, MissingRelationSolveRunsTheExplainedFirstRung) {
+  auto prog = dl::Parse(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
+    l(1, 2). e(2, 3). e(1, 4).
+    p(1, Y)?
+  )");
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  auto explain = ExplainProgram(&db_, *prog);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  ASSERT_FALSE(explain->attempts.empty());
+  EXPECT_EQ(explain->attempts.front().method, "mc/multiple/int");
+
+  auto report = SolveProgram(&db_, *prog);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->attempts.empty());
+  EXPECT_EQ(report->attempts.front().method, "mc/multiple/integrated");
+  EXPECT_EQ(report->kind, explain->kind);
+  ASSERT_EQ(report->results.size(), 1u);
+  EXPECT_EQ(report->results[0][0], 4);
+}
+
+// The reverse-bound form of the same gap: no E facts and no stored E.
+TEST_F(PlannerTest, MissingRelationReverseBoundMatchesNaiveEvaluation) {
+  auto prog = dl::Parse(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
+    l(1, 2). r(5, 6).
+    p(X, 6)?
+  )");
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  auto report = SolveProgram(&db_, *prog);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->kind, PlanKind::kMagicCounting);
+  std::vector<Value> answers;
+  for (const Tuple& t : report->results) answers.push_back(t[0]);
+
+  Database naive_db;
+  eval::EvalOptions eopts;
+  eopts.seminaive = false;
+  eval::Engine engine(&naive_db, eopts);
+  ASSERT_TRUE(engine.Run(*prog).ok());
+  auto naive = engine.Query(prog->queries[0].goal);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  std::vector<Value> expected;
+  for (const Tuple& t : *naive) expected.push_back(t[0]);
+  std::sort(answers.begin(), answers.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(answers, expected);
 }
 
 }  // namespace
