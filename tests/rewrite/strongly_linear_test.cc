@@ -95,6 +95,57 @@ TEST(RecognizeSl, RejectsDisconnectedLiteral) {
   EXPECT_FALSE(slq.ok());
 }
 
+Result<RecognizedQuery> RecognizeWhole(const std::string& src) {
+  auto prog = dl::Parse(src);
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString();
+  return RecognizeQuery(*prog);
+}
+
+TEST(RecognizeQuery, TriesCanonicalThenComposedThenReverseBound) {
+  auto canonical = RecognizeWhole(R"(
+    l(1, 2).
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
+    p(1, Y)?
+  )");
+  ASSERT_TRUE(canonical.ok()) << canonical.status().ToString();
+  ASSERT_TRUE(std::holds_alternative<CslQuery>(canonical->form));
+  EXPECT_EQ(std::get<CslQuery>(canonical->form).l, "l");
+  ASSERT_EQ(canonical->support.rules.size(), 1u);  // the l fact
+  EXPECT_TRUE(canonical->support.queries.empty());
+
+  auto composed = RecognizeWhole(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- up(X, Z), up(Z, X1), p(X1, Y1), r(Y, Y1).
+    p(1, Y)?
+  )");
+  ASSERT_TRUE(composed.ok()) << composed.status().ToString();
+  EXPECT_TRUE(std::holds_alternative<StronglyLinearQuery>(composed->form));
+
+  auto reverse = RecognizeWhole(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
+    p(X, 6)?
+  )");
+  ASSERT_TRUE(reverse.ok()) << reverse.status().ToString();
+  ASSERT_TRUE(std::holds_alternative<ReverseCsl>(reverse->form));
+  EXPECT_EQ(std::get<ReverseCsl>(reverse->form).csl.e, "mcm_eswap");
+}
+
+TEST(RecognizeQuery, RejectsSupportDependingOnTheGoal) {
+  EXPECT_FALSE(RecognizeWhole(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
+    e(X, Y) :- p(Y, X).
+    p(1, Y)?
+  )").ok());
+  EXPECT_FALSE(RecognizeWhole(R"(
+    tc(X, Y) :- e(X, Y).
+    tc(X, Y) :- tc(X, Z), tc(Z, Y).
+    tc(1, Y)?
+  )").ok());
+}
+
 TEST(MaterializeSl, TwoHopPrefixComposition) {
   // L is two 'up' hops; the composed l* must contain exactly the 2-paths.
   auto prog = dl::Parse(R"(
