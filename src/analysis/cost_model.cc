@@ -328,7 +328,7 @@ CostReport AnalyzeCost(const dl::Program& program,
   // --- ranking ---------------------------------------------------------
   std::vector<const CostEstimate*> safe;
   for (const CostEstimate& e : report.estimates) {
-    if (e.finite && e.verdict != Verdict::kUnsafe) safe.push_back(&e);
+    if (e.finite && e.verdict == Verdict::kSafe) safe.push_back(&e);
   }
   std::sort(safe.begin(), safe.end(),
             [](const CostEstimate* a, const CostEstimate* b) {
