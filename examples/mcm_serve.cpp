@@ -56,7 +56,8 @@
 //                      auto       cost-ranked selection (default)
 //                      safe       fixed safe walk from mc:multiple:int
 //                      counting   attempt plain counting under the governor
-//                                 (the breaker learns the divergent shapes)
+//                                 (a divergent attempt stops after n_L
+//                                 rounds, then the ladder answers)
 //                      magic      generalized magic sets
 //                      bottom_up  plain seminaive evaluation
 //                      mc:V:M     safe walk from magic counting variant V

@@ -31,8 +31,9 @@
 //                    any fixpoint
 //   --timeout-ms N     wall-clock deadline for the whole run
 //   --max-tuples N     abort when a fixpoint materializes more tuples
-//   --max-iterations N fixpoint iteration / counting level cap
-//                      (default: 4*(|L|+|R|)+64, see RunOptions)
+//   --max-iterations N fixpoint round / counting level cap for every rung
+//                      (default: n_L rounds for plain counting, none for
+//                      the rungs that cannot diverge; see RunOptions)
 //   --max-memory-bytes N  approximate memory budget for derived relations
 //   --no-fallback      fail on the first aborted attempt instead of
 //                      degrading to the next-safer method (Figure 3 order)

@@ -143,8 +143,8 @@ Result<MethodRun> DirectCounting(Database* db, const std::string& l,
   MethodRun run;
   run.method = "direct/counting";
 
-  // Same default-cap policy as the engine path (RunOptions::EffectiveCaps).
-  ResolvedCaps caps = options.EffectiveCaps(rel.l->size(), rel.r->size());
+  // Same level cap as the engine path's round cap.
+  uint64_t level_cap = CountingRoundCap(options, rel.l, a);
   runtime::ExecutionContext local_ctx;
   const runtime::ExecutionContext* ctx = options.context;
   if (ctx == nullptr && options.timeout_ms > 0) {
@@ -173,16 +173,15 @@ Result<MethodRun> DirectCounting(Database* db, const std::string& l,
       MCM_RETURN_NOT_OK(ctx->CheckStatus("direct counting (level " +
                                          std::to_string(j) + ")"));
     }
-    if (static_cast<uint64_t>(j) > caps.max_iterations) {
+    if (static_cast<uint64_t>(j) > level_cap) {
       return Status::Unsafe(
           "counting-set fixpoint exceeded level cap (iteration cap " +
-          std::to_string(caps.max_iterations) +
-          ") — divergent on cyclic magic graph");
+          std::to_string(level_cap) + ") — divergent on cyclic magic graph");
     }
-    if (caps.max_tuples != 0 && cs.size() > caps.max_tuples) {
+    if (options.max_tuples != 0 && cs.size() > options.max_tuples) {
       return Status::Unsafe(
           "counting-set fixpoint exceeded tuple cap (" +
-          std::to_string(caps.max_tuples) + ")");
+          std::to_string(options.max_tuples) + ")");
     }
     if (options.max_memory_bytes != 0 &&
         cs.size() * (sizeof(std::pair<int64_t, Value>) + 32) >

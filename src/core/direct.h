@@ -21,9 +21,10 @@
 namespace mcm::core {
 
 /// The counting method (program Q_C run procedurally). Returns
-/// Status::Unsafe when the counting-set BFS trips a cap from
-/// RunOptions::EffectiveCaps (iteration cap = level cap here), and honors
-/// the execution governor (deadline / cancellation / memory budget).
+/// Status::Unsafe when the counting-set BFS passes the level cap
+/// CountingRoundCap resolves (n_L unless `max_iterations` is set) or the
+/// tuple cap, and honors the execution governor (deadline / cancellation /
+/// memory budget).
 Result<MethodRun> DirectCounting(Database* db, const std::string& l,
                                  const std::string& e, const std::string& r,
                                  Value a, const RunOptions& options = {});

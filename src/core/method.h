@@ -19,6 +19,10 @@
 #include "storage/value.h"
 #include "util/status.h"
 
+namespace mcm {
+class Relation;
+}  // namespace mcm
+
 namespace mcm::core {
 
 enum class McVariant : uint8_t {
@@ -48,20 +52,20 @@ enum class DetectionMode : uint8_t {
 
 std::string DetectionModeToString(DetectionMode m);
 
-/// Caps as actually enforced by a run, after auto-derivation. See
-/// RunOptions::EffectiveCaps.
-struct ResolvedCaps {
-  uint64_t max_iterations = 0;  ///< never 0: the auto cap fills it in
-  uint64_t max_tuples = 0;      ///< 0 = unlimited
-};
-
 /// Safety and instrumentation knobs for a method run.
 struct RunOptions {
   /// Fixpoint-round cap per recursive stratum; hit => Status::Unsafe.
-  /// 0 = auto: EffectiveCaps derives a cap of 4*(|L| + |R|) + 64 rounds,
-  /// which every safe fixpoint on the instance is guaranteed to stay under
-  /// (level counts are bounded by path lengths, which are bounded by arc
-  /// counts), while a divergent counting fixpoint trips it quickly.
+  /// 0 = auto. Plain counting, the one method that can diverge, then caps
+  /// rounds (levels on the direct path) at n_L + c with c = 0, n_L being
+  /// the values reachable from `a` over the L the run reads
+  /// (CountingRoundCap). On an acyclic G_L every counting index is a path
+  /// length, at most n_L - 1 (Proposition 3). The engine's round 0 derives
+  /// CS(0, a) and round r reads the delta of round r - 1, whose indices
+  /// are >= r - 1, so the CS stratum sees its last non-empty delta by
+  /// round n_L; the P_C descent from index n_L - 1 to 0 takes as many. A
+  /// stratum trips only on a non-empty delta past the cap, so a trip
+  /// proves a cycle. The other methods always terminate: MC Step 2, magic
+  /// sets and the reference run get no automatic cap.
   uint64_t max_iterations = 0;
   /// Derived-tuple cap per recursive stratum; hit => Status::Unsafe.
   /// 0 = unlimited.
@@ -82,12 +86,15 @@ struct RunOptions {
   /// every ladder rung then evaluates a machine-generated rewrite of that
   /// already-validated program, so per-rung re-validation is pure overhead.
   bool assume_validated = false;
-
-  /// The single home of the default-cap policy (both the Datalog-engine
-  /// solver path and the direct procedural loops resolve their caps here):
-  /// max_iterations == 0 becomes 4*(l_arcs + r_arcs) + 64.
-  ResolvedCaps EffectiveCaps(uint64_t l_arcs, uint64_t r_arcs) const;
 };
+
+/// The round cap of a plain counting run over `l` from `a`:
+/// `options.max_iterations` when set, else n_L, the values reachable from
+/// `a` over `l` (`a` included, so never 0; a null `l` is empty). The walk
+/// reads l's column-0 index, the one the counting-set rule probes, without
+/// instrumentation: the run's reads, probes and inserts do not move.
+uint64_t CountingRoundCap(const RunOptions& options, const Relation* l,
+                          Value a);
 
 /// \brief Outcome and cost breakdown of one method execution.
 struct MethodRun {

@@ -165,10 +165,6 @@ bool ParseMcId(const std::string& id, McVariant* variant, McMode* mode) {
 std::vector<std::string> LadderMethodIds(
     const PlannerOptions& options, const analysis::AnalysisResult& analysis,
     std::string* note) {
-  if (options.strategy == Strategy::kMagicSets) {
-    *note = "; counting rungs skipped (safe method forced)";
-    return {"magic_sets"};
-  }
   if (options.strategy == Strategy::kAuto && analysis.cost.computed &&
       !analysis.cost.ranking.empty()) {
     // The ranking already contains exactly the safe finite methods,

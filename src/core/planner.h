@@ -19,10 +19,11 @@
 //  3. Otherwise the program is evaluated bottom-up as-is.
 //
 // Runtime safety net: every execution is governed (deadline, cancellation,
-// iteration/tuple/memory caps from RunOptions), and on the strongly linear
-// path a dynamic abort triggers retry-with-degradation down the paper's
-// Figure 3 hierarchy — counting, then the magic counting variants, then
-// plain magic sets (always safe). Each try is recorded in
+// iteration/tuple/memory caps from RunOptions; plain counting alone gets
+// an automatic n_L round cap, see RunOptions::max_iterations), and on the
+// strongly linear path a dynamic abort triggers retry-with-degradation
+// down the paper's Figure 3 hierarchy — counting, then the magic counting
+// variants, then plain magic sets (always safe). Each try is recorded in
 // PlanReport::attempts so callers can see what was tried, why it failed,
 // and what finally answered the query.
 #pragma once
@@ -66,11 +67,6 @@ enum class Strategy : uint8_t {
   /// static verdict is unsafe or undecidable, then the kSafe walk: safety
   /// becomes data-dependent, as the paper argues, instead of all-or-nothing.
   kCounting,
-  /// Only the always-safe magic-set rung on the strongly linear path. The
-  /// query service's circuit breaker sets it once a query shape has
-  /// diverged repeatedly: there is no point paying for the doomed counting
-  /// attempt again.
-  kMagicSets,
   /// Skip the strongly linear path: magic rewrite, then bottom-up.
   kMagicRewrite,
   /// Plain bottom-up evaluation only.

@@ -32,27 +32,15 @@ void CslSolver::DropWorkingRelations() {
 
 namespace {
 
-/// L and R arc counts of the instance, feeding RunOptions::EffectiveCaps.
-std::pair<uint64_t, uint64_t> ArcCounts(const Database& db,
-                                        const rewrite::CslQuery& csl) {
-  const Relation* l = db.Find(csl.l);
-  const Relation* r = db.Find(csl.r);
-  return {l != nullptr ? l->size() : 0, r != nullptr ? r->size() : 0};
-}
-
-/// Resolve the engine options for one governed run: caps from the unified
-/// default-cap policy, memory budget, and the execution context (an
-/// explicit one wins; otherwise a fresh deadline from timeout_ms is stored
-/// in `local_ctx`, which the caller must keep alive for the run).
-eval::EvalOptions GovernedEvalOptions(const Database& db,
-                                      const rewrite::CslQuery& csl,
-                                      const RunOptions& options,
+/// Resolve the engine options for one governed run: caps, memory budget,
+/// and the execution context (an explicit one wins; otherwise a fresh
+/// deadline from timeout_ms is stored in `local_ctx`, which the caller must
+/// keep alive for the run).
+eval::EvalOptions GovernedEvalOptions(const RunOptions& options,
                                       runtime::ExecutionContext* local_ctx) {
-  auto [l_arcs, r_arcs] = ArcCounts(db, csl);
-  ResolvedCaps caps = options.EffectiveCaps(l_arcs, r_arcs);
   eval::EvalOptions eopts;
-  eopts.max_iterations = caps.max_iterations;
-  eopts.max_tuples = caps.max_tuples;
+  eopts.max_iterations = options.max_iterations;
+  eopts.max_tuples = options.max_tuples;
   eopts.max_memory_bytes = options.max_memory_bytes;
   eopts.assume_validated = options.assume_validated;
   if (options.context != nullptr) {
@@ -84,8 +72,7 @@ Result<MethodRun> CslSolver::RunProgramMethod(const std::string& name,
   run.method = name;
 
   runtime::ExecutionContext local_ctx;
-  eval::EvalOptions eopts =
-      GovernedEvalOptions(*db_, csl_, options, &local_ctx);
+  eval::EvalOptions eopts = GovernedEvalOptions(options, &local_ctx);
 
   AccessStats before = db_->stats();
   Timer timer;
@@ -112,8 +99,11 @@ Result<MethodRun> CslSolver::RunProgramMethod(const std::string& name,
 
 Result<MethodRun> CslSolver::RunCounting(const RunOptions& options) {
   DropWorkingRelations();
+  RunOptions capped = options;
+  capped.max_iterations =
+      CountingRoundCap(options, db_->Find(csl_.l), csl_.source.value);
   return RunProgramMethod("counting", rewrite::CountingProgram(csl_, names_),
-                          options);
+                          capped);
 }
 
 Result<MethodRun> CslSolver::RunMagicSets(const RunOptions& options) {
@@ -150,8 +140,7 @@ Result<MethodRun> CslSolver::RunMagicCounting(McVariant variant, McMode mode,
                             : rewrite::IntegratedMcProgram(csl_, names_);
 
   runtime::ExecutionContext local_ctx;
-  eval::EvalOptions eopts =
-      GovernedEvalOptions(*db_, csl_, options, &local_ctx);
+  eval::EvalOptions eopts = GovernedEvalOptions(options, &local_ctx);
   eval::Engine engine(db_, eopts);
   Status st = engine.Run(program);
   double seconds = timer.ElapsedSeconds();

@@ -28,8 +28,9 @@ class CslSolver {
             Value source);
 
   /// The counting method (Section 2, program Q_C). Returns Status::Unsafe
-  /// when the counting-set fixpoint diverges (cyclic magic graph) and the
-  /// iteration/tuple caps trip.
+  /// when the counting-set fixpoint diverges (cyclic magic graph): with
+  /// `max_iterations` 0 its strata stop after n_L rounds
+  /// (CountingRoundCap).
   Result<MethodRun> RunCounting(const RunOptions& options = {});
 
   /// The magic set method (Section 2, program Q_M). Always safe.

@@ -153,13 +153,12 @@ std::string FormatResponse(uint64_t tag, const QueryResponse& resp) {
                                      : resp.report.attempts.back().method;
     return StringPrintf(
         "[%llu] ok: %zu tuples %s@epoch %llu in %.2fms (queue %.2fms, "
-        "method %s, retries %d%s)\n",
+        "method %s, retries %d)\n",
         static_cast<unsigned long long>(tag), resp.report.results.size(),
         resp.stale ? "stale" : "",
         static_cast<unsigned long long>(resp.edb_epoch),
         resp.run_seconds * 1e3, resp.queue_seconds * 1e3,
-        method_used.c_str(), resp.retries,
-        resp.breaker_short_circuit ? ", breaker" : "");
+        method_used.c_str(), resp.retries);
   }
   return StringPrintf("[%llu] %s: %s\n",
                       static_cast<unsigned long long>(tag),

@@ -19,14 +19,6 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Divergence as the breaker counts it: the governed caps that signal a
-/// runaway fixpoint, not deadline or cancellation.
-bool IsDivergenceAbort(runtime::AbortReason reason) {
-  return reason == runtime::AbortReason::kIterationCap ||
-         reason == runtime::AbortReason::kTupleCap ||
-         reason == runtime::AbortReason::kMemoryBudget;
-}
-
 }  // namespace
 
 std::string_view OutcomeToString(Outcome o) {
@@ -71,9 +63,8 @@ std::string FrontendStats::ToString() const {
 std::string ServiceStats::ToString() const {
   std::string out = StringPrintf(
       "submitted %llu | ok %llu, failed %llu, deadline %llu (queued %llu), "
-      "cancelled %llu (queued %llu), shed %llu | retries %llu, breaker "
-      "short-circuits %llu (opens %llu) | queue %zu (max %zu), in-flight "
-      "%zu, ewma run %.2fms",
+      "cancelled %llu (queued %llu), shed %llu | retries %llu | queue %zu "
+      "(max %zu), in-flight %zu, ewma run %.2fms",
       static_cast<unsigned long long>(submitted),
       static_cast<unsigned long long>(ok),
       static_cast<unsigned long long>(failed),
@@ -82,9 +73,7 @@ std::string ServiceStats::ToString() const {
       static_cast<unsigned long long>(cancelled),
       static_cast<unsigned long long>(cancelled_before_start),
       static_cast<unsigned long long>(rejected_overload),
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(breaker_short_circuits),
-      static_cast<unsigned long long>(breaker_opens), queue_depth,
+      static_cast<unsigned long long>(retries), queue_depth,
       max_queue_depth, in_flight, ewma_run_seconds * 1e3);
   if (replica) {
     out += StringPrintf(
@@ -110,7 +99,6 @@ std::string ServiceStats::ToString() const {
 QueryService::QueryService(VersionedStore* store, ServiceOptions options)
     : store_(store),
       options_(std::move(options)),
-      breaker_(options_.breaker),
       ewma_run_seconds_(options_.expected_run_seconds_hint) {
   StartWorkers();
 }
@@ -308,7 +296,6 @@ void QueryService::Finish(Pending* p, QueryResponse resp) {
         break;
     }
     stats_.retries += static_cast<uint64_t>(resp.retries);
-    if (resp.breaker_short_circuit) ++stats_.breaker_short_circuits;
     if (resp.run_seconds > 0) {
       ewma_run_seconds_ = ewma_run_seconds_ == 0
                               ? resp.run_seconds
@@ -406,22 +393,6 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
   core::PlannerOptions opts = p->request.planner;
   opts.analysis = nullptr;  // per-request working db => per-request analysis
 
-  // Circuit breaker: consult it only when this request could take the
-  // counting rung at all. It keys on the normalized program, so whitespace,
-  // comments and pre-parsing do not open a fresh signature.
-  std::string signature;
-  bool probe_claimed = false;
-  if (opts.strategy == core::Strategy::kAuto ||
-      opts.strategy == core::Strategy::kCounting) {
-    signature = program.ToString();
-    if (breaker_.AllowUnsafe(signature)) {
-      probe_claimed = true;
-    } else {
-      opts.strategy = core::Strategy::kMagicSets;
-      resp->breaker_short_circuit = true;
-    }
-  }
-
   // The governor: deadline anchored at Submit() (queue wait already ate
   // into it), cancellation shared with the ticket.
   runtime::ExecutionContext ctx;
@@ -442,8 +413,6 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
                                                share);
   }
 
-  bool counting_diverged = false;
-  bool counting_ok = false;
   for (int attempt = 0;; ++attempt) {
     // Cancellation or deadline expiry during a backoff sleep lands here:
     // classify from the governor, not from whatever the last attempt said.
@@ -471,11 +440,6 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
                 : Result<core::PlanReport>(st);
 
     if (run.ok()) {
-      for (const core::PlanAttempt& a : run->attempts) {
-        if (a.method != "counting") continue;
-        if (a.status.ok()) counting_ok = true;
-        if (IsDivergenceAbort(a.abort)) counting_diverged = true;
-      }
       resp->outcome = Outcome::kOk;
       resp->status = Status::OK();
       resp->report = std::move(*run);
@@ -497,27 +461,12 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
       continue;
     }
 
-    // Terminal failure. A cap trip with counting enabled counts as a
-    // divergence strike even when the ladder could not recover (e.g.
-    // allow_fallback=false): the breaker exists to stop paying for it.
-    if (probe_claimed && IsDivergenceAbort(runtime::ClassifyAbort(st))) {
-      counting_diverged = true;
-    }
+    // Terminal failure.
     resp->status = st;
     resp->outcome = st.IsDeadlineExceeded() ? Outcome::kDeadlineExceeded
                     : st.IsCancelled()      ? Outcome::kCancelled
                                             : Outcome::kFailed;
     break;
-  }
-
-  if (probe_claimed) {
-    if (counting_diverged) {
-      breaker_.RecordDivergence(signature);
-    } else if (counting_ok) {
-      breaker_.RecordSuccess(signature);
-    } else {
-      breaker_.RecordAbandoned(signature);
-    }
   }
   resp->run_seconds = run_timer.ElapsedSeconds();
 }
@@ -585,7 +534,6 @@ ServiceStats QueryService::stats() const {
   out.queue_depth = queue_.size();
   out.in_flight = busy_;
   out.ewma_run_seconds = ewma_run_seconds_;
-  out.breaker_opens = breaker_.open_count();
   return out;
 }
 

@@ -9,11 +9,10 @@
 //              the queue is full or the deadline cannot be met) ──>
 //              bounded queue ──> worker pool ──> per-request
 //              ExecutionContext whose deadline started at *submit* (queue
-//              wait eats budget) ──> circuit breaker consult ──> EdbView
-//              seeding of a private working Database (shared thread-safe
-//              SymbolTable) ──> planner with the degradation ladder ──>
-//              transient-failure retry with backoff ──> exactly one
-//              classified Outcome.
+//              wait eats budget) ──> EdbView seeding of a private working
+//              Database (shared thread-safe SymbolTable) ──> planner with
+//              the degradation ladder ──> transient-failure retry with
+//              backoff ──> exactly one classified Outcome.
 //
 // Isolation model: the EDB lives in a VersionedStore. Submit() pins the
 // store's tip version on the caller's thread, and the request — retries
@@ -44,7 +43,6 @@
 #include "core/planner.h"
 #include "datalog/ast.h"
 #include "runtime/execution_context.h"
-#include "service/circuit_breaker.h"
 #include "storage/versioned_store.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -79,8 +77,7 @@ struct QueryRequest {
   uint64_t timeout_ms = 0;
   /// Method-selection and cap knobs. The service overrides run.context,
   /// run.timeout_ms and analysis; run.max_memory_bytes is clamped to the
-  /// request's share of the global memory budget; the circuit breaker may
-  /// replace a kAuto or kCounting strategy with kMagicSets.
+  /// request's share of the global memory budget.
   core::PlannerOptions planner;
   /// Staleness bound for replica reads (on a service that
   /// ReportReplication marks as a replica; ignored otherwise). The lag is
@@ -110,7 +107,6 @@ struct QueryResponse {
   double queue_seconds = 0;  ///< admission -> worker pickup (or shed time)
   double run_seconds = 0;    ///< time spent executing (0 if never ran)
   int retries = 0;           ///< transient-failure retries consumed
-  bool breaker_short_circuit = false;  ///< breaker forced the safe rung
   int worker = -1;           ///< worker that finished it; -1 = shed/queued
   /// Epoch of the EDB version this request was pinned to at Submit(). All
   /// attempts of one request answer from this single version.
@@ -166,9 +162,7 @@ struct ServiceStats {
   uint64_t failed = 0;
   uint64_t deadline_exceeded = 0;
   uint64_t cancelled = 0;
-  uint64_t retries = 0;                 ///< transient retries (not terminal)
-  uint64_t breaker_short_circuits = 0;  ///< requests forced to the safe rung
-  uint64_t breaker_opens = 0;           ///< circuits tripped open
+  uint64_t retries = 0;      ///< transient retries (not terminal)
   size_t max_queue_depth = 0;
   size_t queue_depth = 0;    ///< snapshot at read time
   size_t in_flight = 0;      ///< snapshot at read time
@@ -223,7 +217,6 @@ struct ServiceOptions {
   int max_retries = 0;
   uint64_t retry_backoff_ms = 5;
   runtime::TransientPolicy transient;
-  CircuitBreaker::Options breaker;
   /// Predictive shedding: reject at admission when the request's whole
   /// budget is smaller than the estimated queue wait (EWMA of recent run
   /// times scaled by the queue ahead of it). Requests that would expire
@@ -304,7 +297,6 @@ class QueryService {
   void Shutdown(bool drain) MCM_EXCLUDES(mu_);
 
   ServiceStats stats() const MCM_EXCLUDES(mu_);
-  CircuitBreaker& breaker() { return breaker_; }
   const ServiceOptions& options() const { return options_; }
 
   /// Publish replication health into stats(): the embedder's replication
@@ -358,12 +350,10 @@ class QueryService {
 
   VersionedStore* store_;
   ServiceOptions options_;
-  CircuitBreaker breaker_;
 
-  /// Rank 1 of the lock-order registry (util/mutex.h): held while the
-  /// breaker's rank-2 mutex is acquired (stats()), never vice versa.
+  /// Rank 1 of the lock-order registry (util/mutex.h).
   mutable util::Mutex mu_ MCM_ACQUIRED_AFTER(util::kLockRankService)
-      MCM_ACQUIRED_BEFORE(util::kLockRankBreaker);
+      MCM_ACQUIRED_BEFORE(util::kLockRankSupervisor);
   std::condition_variable cv_;
   std::deque<std::unique_ptr<Pending>> queue_ MCM_GUARDED_BY(mu_);
   std::vector<std::thread> workers_ MCM_GUARDED_BY(mu_);

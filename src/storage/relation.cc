@@ -109,17 +109,22 @@ Relation::Index& Relation::GetOrBuildIndex(const IndexKey& cols) const {
   return index;
 }
 
-const std::vector<uint32_t>& Relation::Probe(
+const std::vector<uint32_t>& Relation::PostingsUnchecked(
     const IndexKey& key_cols, const std::vector<Value>& key_vals) const {
   assert(key_cols.size() == key_vals.size());
-  if (stats_ != nullptr) stats_->probes++;
   Index& index = GetOrBuildIndex(key_cols);
   Tuple key(static_cast<uint32_t>(key_vals.size()));
   for (uint32_t i = 0; i < key_vals.size(); ++i) key[i] = key_vals[i];
   auto it = index.buckets.find(key);
-  if (it == index.buckets.end()) return kEmptyPostings;
-  CountRead(it->second.size());
-  return it->second;
+  return it == index.buckets.end() ? kEmptyPostings : it->second;
+}
+
+const std::vector<uint32_t>& Relation::Probe(
+    const IndexKey& key_cols, const std::vector<Value>& key_vals) const {
+  if (stats_ != nullptr) stats_->probes++;
+  const std::vector<uint32_t>& ids = PostingsUnchecked(key_cols, key_vals);
+  CountRead(ids.size());
+  return ids;
 }
 
 void Relation::Clear() {

@@ -94,6 +94,14 @@ class MCM_OWNER(Tuple) Relation {
     return store()[id];
   }
 
+  /// Ids of the tuples matching `key_vals` on `key_cols`, without
+  /// instrumentation: Probe's lookup, charging no probe and no read. Builds
+  /// the index on first use, like Probe; the reference is invalidated by
+  /// the next Insert into this relation.
+  const std::vector<uint32_t>& PostingsUnchecked(
+      const IndexKey& key_cols,
+      const std::vector<Value>& key_vals) const MCM_LIFETIME_BOUND;
+
   /// All tuples, uninstrumented view (used by printers/tests).
   const std::vector<Tuple>& TuplesUnchecked() const MCM_LIFETIME_BOUND {
     return store();

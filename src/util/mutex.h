@@ -24,9 +24,6 @@
 //   -----+---------------------------------+---------------------------------
 //     1  | service::QueryService::mu_      | admission queue, worker state,
 //        |                                 | service stats
-//     2  | service::CircuitBreaker::mu_    | per-signature breaker entries
-//        |                                 | (acquired under rank 1 by
-//        |                                 | QueryService::stats())
 //     3  | ReplicaSupervisor::mu_          | follower-fleet slot state
 //        |                                 | (phase, backoff schedule, fleet
 //        |                                 | tip watermark); held across a
@@ -53,13 +50,15 @@
 //        |                                 | queue (leaf; never held while
 //        |                                 | any other capability is)
 //
+// Rank 2 is unused; the other ranks keep their numbers.
+//
 // The ranks are encoded as never-locked marker capabilities (`LockRank`
 // objects below) chained with MCM_ACQUIRED_AFTER; each real mutex then
 // declares MCM_ACQUIRED_AFTER(its rank) and MCM_ACQUIRED_BEFORE(the next
 // rank). Acquiring against the declared order — e.g. taking
-// QueryService::mu_ while holding CircuitBreaker::mu_ — is a compile error
-// under -Wthread-safety-beta, which makes the store -> service -> breaker
-// acquisition discipline a static deadlock audit. New mutexes MUST be
+// ReplicaSupervisor::mu_ while holding Follower::mu_ — is a compile error
+// under -Wthread-safety-beta, which makes the supervisor -> follower ->
+// store acquisition discipline a static deadlock audit. New mutexes MUST be
 // slotted into this table (add a rank, chain the markers) before they are
 // acquired while any registered lock is held.
 #pragma once
@@ -178,10 +177,8 @@ struct MCM_CAPABILITY("lock_rank") LockRank {};
 
 /// Rank 1: service::QueryService::mu_.
 inline LockRank kLockRankService;
-/// Rank 2: service::CircuitBreaker::mu_.
-inline LockRank kLockRankBreaker MCM_ACQUIRED_AFTER(kLockRankService);
 /// Rank 3: ReplicaSupervisor::mu_ (fleet slot state).
-inline LockRank kLockRankSupervisor MCM_ACQUIRED_AFTER(kLockRankBreaker);
+inline LockRank kLockRankSupervisor MCM_ACQUIRED_AFTER(kLockRankService);
 /// Rank 4: Follower::mu_ (replication health / halt state).
 inline LockRank kLockRankFollower MCM_ACQUIRED_AFTER(kLockRankSupervisor);
 /// Rank 5: VersionedStore::commit_mu_ (the single-writer capability).

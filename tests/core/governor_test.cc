@@ -311,23 +311,5 @@ TEST_F(DirectGovernorTest, MagicSetsStaysSafeOnCyclicData) {
   EXPECT_FALSE(run->answers.empty());
 }
 
-// --- Satellite 2: the unified default-cap policy. ---
-
-TEST(EffectiveCapsTest, AutoCapUsesBothArcCounts) {
-  RunOptions options;
-  ResolvedCaps caps = options.EffectiveCaps(10, 5);
-  EXPECT_EQ(caps.max_iterations, 4 * (10 + 5) + 64);
-  EXPECT_EQ(caps.max_tuples, 0u);
-}
-
-TEST(EffectiveCapsTest, ExplicitCapsWinOverAuto) {
-  RunOptions options;
-  options.max_iterations = 7;
-  options.max_tuples = 9;
-  ResolvedCaps caps = options.EffectiveCaps(1000, 1000);
-  EXPECT_EQ(caps.max_iterations, 7u);
-  EXPECT_EQ(caps.max_tuples, 9u);
-}
-
 }  // namespace
 }  // namespace mcm::core

@@ -31,7 +31,6 @@ enum class Row {
   kCounting,      ///< "counting": counting under the governor first
   kMagicRewrite,  ///< "magic": skip the strongly linear path
   kBottomUp,      ///< "bottom_up": plain evaluation only
-  kOpenCircuit,   ///< the circuit breaker's override
 };
 
 const char* RowName(Row row) {
@@ -46,8 +45,6 @@ const char* RowName(Row row) {
       return "magic";
     case Row::kBottomUp:
       return "bottom_up";
-    case Row::kOpenCircuit:
-      return "open_circuit";
   }
   return "?";
 }
@@ -70,9 +67,6 @@ PlannerOptions OptionsFor(Row row, bool fallback) {
       break;
     case Row::kBottomUp:
       options.strategy = Strategy::kBottomUp;
-      break;
-    case Row::kOpenCircuit:
-      options.strategy = Strategy::kMagicSets;
       break;
   }
   options.allow_fallback = fallback;
@@ -225,12 +219,6 @@ const Golden kGolden[] = {
     {"tree", Row::kBottomUp, false,
      "bottom_up:",
      "bottom_up | bottom_up:OK | reads 100"},
-    {"tree", Row::kOpenCircuit, true,
-     "magic_sets: magic_sets",
-     "magic_sets | magic_sets:OK | reads 177"},
-    {"tree", Row::kOpenCircuit, false,
-     "magic_sets: magic_sets",
-     "magic_sets | magic_sets:OK | reads 177"},
     {"skip", Row::kSafe, true,
      "magic_counting: mc/multiple/int mc/recurring/int magic_sets",
      "magic_counting | mc/multiple/integrated:OK | reads 181"},
@@ -261,12 +249,6 @@ const Golden kGolden[] = {
     {"skip", Row::kBottomUp, false,
      "bottom_up:",
      "bottom_up | bottom_up:OK | reads 240"},
-    {"skip", Row::kOpenCircuit, true,
-     "magic_sets: magic_sets",
-     "magic_sets | magic_sets:OK | reads 355"},
-    {"skip", Row::kOpenCircuit, false,
-     "magic_sets: magic_sets",
-     "magic_sets | magic_sets:OK | reads 355"},
     {"cyclic", Row::kSafe, true,
      "magic_counting: mc/multiple/int mc/recurring/int magic_sets",
      "magic_counting | mc/multiple/integrated:OK | reads 364"},
@@ -281,7 +263,7 @@ const Golden kGolden[] = {
      "magic_sets | magic_sets:OK | reads 374"},
     {"cyclic", Row::kCounting, true,
      "counting: counting mc/multiple/int mc/recurring/int magic_sets",
-     "magic_counting | counting:Unsafe -> mc/multiple/integrated:OK | reads 1883"},
+     "magic_counting | counting:Unsafe -> mc/multiple/integrated:OK | reads 468"},
     {"cyclic", Row::kCounting, false,
      "counting: counting mc/multiple/int",
      "error Unsafe [iteration_cap]"},
@@ -297,12 +279,6 @@ const Golden kGolden[] = {
     {"cyclic", Row::kBottomUp, false,
      "bottom_up:",
      "bottom_up | bottom_up:OK | reads 254"},
-    {"cyclic", Row::kOpenCircuit, true,
-     "magic_sets: magic_sets",
-     "magic_sets | magic_sets:OK | reads 374"},
-    {"cyclic", Row::kOpenCircuit, false,
-     "magic_sets: magic_sets",
-     "magic_sets | magic_sets:OK | reads 374"},
     {"nonlinear_tc", Row::kSafe, true,
      "magic_sets:",
      "magic_sets | magic_rewrite:OK | reads 421"},
@@ -333,12 +309,6 @@ const Golden kGolden[] = {
     {"nonlinear_tc", Row::kBottomUp, false,
      "bottom_up:",
      "bottom_up | bottom_up:OK | reads 257"},
-    {"nonlinear_tc", Row::kOpenCircuit, true,
-     "magic_sets:",
-     "magic_sets | magic_rewrite:OK | reads 421"},
-    {"nonlinear_tc", Row::kOpenCircuit, false,
-     "magic_sets:",
-     "magic_sets | magic_rewrite:OK | reads 421"},
 };
 // clang-format on
 
@@ -351,8 +321,8 @@ const Golden* Find(const std::string& program, Row row, bool fallback) {
   return nullptr;
 }
 
-const Row kRows[] = {Row::kSafe,         Row::kAuto,     Row::kCounting,
-                     Row::kMagicRewrite, Row::kBottomUp, Row::kOpenCircuit};
+const Row kRows[] = {Row::kSafe, Row::kAuto, Row::kCounting,
+                     Row::kMagicRewrite, Row::kBottomUp};
 
 TEST(LadderPolicy, EveryRowMatchesTheGoldenTable) {
   for (const TestProgram& p : Programs()) {

@@ -51,7 +51,7 @@ size_t EnvSize(const char* name, size_t fallback) {
 
 /// The named instances loaded side by side into the shared base database
 /// (relations l<i>/e<i>/r<i>) — a mix of well-behaved, cyclic (plain
-/// counting diverges; breaker food), and fully random shapes.
+/// counting diverges), and fully random shapes.
 std::vector<workload::CslData> ChaosInstances() {
   std::vector<workload::CslData> out;
   out.push_back(workload::MakeFigure1Style());
@@ -130,8 +130,6 @@ TEST(ChaosTest, ConcurrentRandomizedRequestsKeepTheContract) {
   opts.max_retries = 2;
   opts.retry_backoff_ms = 1;
   opts.total_memory_bytes = 64ull << 20;
-  opts.breaker.strike_threshold = 3;
-  opts.breaker.cooldown = milliseconds(40);
   QueryService svc(&store, opts);
 
   struct Submitted {

@@ -135,12 +135,12 @@ TEST(LockRankTest, RegistryOrderIsDocumented) {
   // global order in one place so a reordering shows up as a test diff, not
   // only as a CI compile error under MCM_THREAD_SAFETY.
   const LockRank* order[] = {
-      &kLockRankService,        &kLockRankBreaker,   &kLockRankSupervisor,
+      &kLockRankService,        &kLockRankSupervisor,
       &kLockRankFollower,       &kLockRankStoreCommit, &kLockRankStoreTip,
       &kLockRankSymbols,        &kLockRankFaultInjection,
       &kLockRankTransport,
   };
-  EXPECT_EQ(std::size(order), 9u);
+  EXPECT_EQ(std::size(order), 8u);
   for (size_t i = 0; i < std::size(order); ++i) {
     for (size_t j = i + 1; j < std::size(order); ++j) {
       EXPECT_NE(order[i], order[j]);
