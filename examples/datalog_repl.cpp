@@ -247,7 +247,7 @@ void HandleSet(const std::string& line, ReplSettings* settings) {
   in >> cmd >> key >> value;
   if (key.empty()) {
     std::printf("timeout    %llu ms (0 = none)\n"
-                "iterations %llu (0 = auto: 4*(|L|+|R|)+64)\n"
+                "iterations %llu (0 = auto: n_L rounds for plain counting)\n"
                 "tuples     %llu (0 = unlimited)\n"
                 "fallback   %s\n",
                 static_cast<unsigned long long>(settings->run.timeout_ms),
