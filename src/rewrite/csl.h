@@ -4,9 +4,12 @@
 //     query:  P(a, Y)?
 //     exit:   P(X, Y) :- E(X, Y).
 //     rec:    P(X, Y) :- L(X, X1), P(X1, Y1), R(Y, Y1).
-// where E, L, R are database predicates ([SZ1] calls these canonical
-// strongly linear). RecognizeCsl() extracts the (P, E, L, R, a) signature
-// from a parsed program, accepting any consistent variable naming.
+// where E, L, R are database predicates and X, Y, X1, Y1 are four distinct
+// variables ([SZ1] calls these canonical strongly linear). A rule where two
+// of them coincide, such as L(X, X1), P(X1, X1), R(Y, X1), is a different
+// query. The shape rules live in RecognizeStronglyLinear
+// (strongly_linear.h); the canonical form is its all-atom case, where L, E
+// and R are each one binary atom in canonical argument order.
 #pragma once
 
 #include "datalog/ast.h"
@@ -30,7 +33,8 @@ struct CslQuery {
 
 /// Recognize the CSL form in `program` (which must contain exactly the exit
 /// rule, the recursive rule and one query with a bound first argument and a
-/// free second argument). Returns Unsupported for anything else.
+/// free second argument): RecognizeStronglyLinear, kept only when
+/// StronglyLinearQuery::Canonical() holds. Returns Unsupported otherwise.
 [[nodiscard]] Result<CslQuery> RecognizeCsl(const dl::Program& program);
 
 /// A recognized reverse-bound CSL query (see RecognizeReverseCsl).
