@@ -169,7 +169,10 @@ MagicGraphAnalysis AnalyzeMagicGraph(const Digraph& g, NodeId source) {
     }
   }
 
-  // --- Helper: arcs among a node subset / arcs entering a node subset. ---
+  // --- Helpers: size of a node subset, arcs among it, arcs entering it. ---
+  auto count = [](const std::vector<bool>& in_set) {
+    return static_cast<size_t>(std::count(in_set.begin(), in_set.end(), true));
+  };
   auto arcs_among = [&](const std::vector<bool>& in_set) {
     size_t m = 0;
     for (NodeId u = 0; u < n; ++u) {
@@ -188,74 +191,53 @@ MagicGraphAnalysis AnalyzeMagicGraph(const Digraph& g, NodeId source) {
     }
     return m;
   };
+  // The nodes of `in_set` with no path to a node of `avoid`.
+  auto closed = [&](const std::vector<bool>& in_set,
+                    const std::vector<NodeId>& avoid) {
+    std::vector<bool> reaches = g.CanReach(avoid);
+    std::vector<bool> out(n, false);
+    for (NodeId v = 0; v < n; ++v) out[v] = in_set[v] && !reaches[v];
+    return out;
+  };
 
-  std::vector<bool> reachable(n, false);
+  // --- Region membership: Tables 3-5 each split the reachable nodes. ---
+  a.single_below.assign(n, false);
+  a.single.assign(n, false);
+  a.nonrecurring.assign(n, false);
+  std::vector<NodeId> at_or_above;  // nodes with dist >= i_x
+  std::vector<NodeId> non_single;
+  std::vector<NodeId> recurring_nodes;
   for (NodeId v = 0; v < n; ++v) {
-    reachable[v] = a.min_dist[v] != kUnreachable;
+    if (a.min_dist[v] == kUnreachable) continue;
+    bool single = a.node_class[v] == NodeClass::kSingle;
+    a.single_below[v] = single && a.min_dist[v] < a.i_x;
+    if (a.min_dist[v] >= a.i_x) at_or_above.push_back(v);
+    a.single[v] = single;
+    if (!single) non_single.push_back(v);
+    a.nonrecurring[v] = a.node_class[v] != NodeClass::kRecurring;
+    if (!a.nonrecurring[v]) recurring_nodes.push_back(v);
   }
+  a.closed_single = closed(a.single, non_single);
+  a.closed_nonrecurring = closed(a.nonrecurring, recurring_nodes);
 
   // --- Single-method parameters (Table 3). ---
-  {
-    std::vector<bool> below(n, false);   // single nodes with dist < i_x
-    std::vector<NodeId> at_or_above;     // nodes with dist >= i_x
-    for (NodeId v = 0; v < n; ++v) {
-      if (!reachable[v]) continue;
-      if (a.node_class[v] == NodeClass::kSingle && a.min_dist[v] < a.i_x) {
-        below[v] = true;
-      }
-      if (a.min_dist[v] >= a.i_x) at_or_above.push_back(v);
-    }
-    a.n_s_hat = static_cast<size_t>(std::count(below.begin(), below.end(), true));
-    a.m_s_hat = arcs_among(below);
-    std::vector<bool> reaches_above = g.CanReach(at_or_above);
-    std::vector<bool> safe(n, false);
-    for (NodeId v = 0; v < n; ++v) safe[v] = below[v] && !reaches_above[v];
-    a.n_j_hat = static_cast<size_t>(std::count(safe.begin(), safe.end(), true));
-    a.m_j_hat = arcs_entering(safe);
-  }
+  a.n_s_hat = count(a.single_below);
+  a.m_s_hat = arcs_among(a.single_below);
+  std::vector<bool> below_closed = closed(a.single_below, at_or_above);
+  a.n_j_hat = count(below_closed);
+  a.m_j_hat = arcs_entering(below_closed);
 
   // --- Multiple-method parameters (Table 4). ---
-  {
-    std::vector<bool> single(n, false);
-    std::vector<NodeId> non_single;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!reachable[v]) continue;
-      if (a.node_class[v] == NodeClass::kSingle) {
-        single[v] = true;
-      } else {
-        non_single.push_back(v);
-      }
-    }
-    a.n_single =
-        static_cast<size_t>(std::count(single.begin(), single.end(), true));
-    a.m_single = arcs_among(single);
-    std::vector<bool> reaches_bad = g.CanReach(non_single);
-    std::vector<bool> safe(n, false);
-    for (NodeId v = 0; v < n; ++v) safe[v] = single[v] && !reaches_bad[v];
-    a.n_i = static_cast<size_t>(std::count(safe.begin(), safe.end(), true));
-    a.m_i = arcs_entering(safe);
-  }
+  a.n_single = count(a.single);
+  a.m_single = arcs_among(a.single);
+  a.n_i = count(a.closed_single);
+  a.m_i = arcs_entering(a.closed_single);
 
   // --- Recurring-method parameters (Table 5). ---
-  {
-    std::vector<bool> finite(n, false);
-    std::vector<NodeId> rec_nodes;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!reachable[v]) continue;
-      if (a.node_class[v] == NodeClass::kRecurring) {
-        rec_nodes.push_back(v);
-      } else {
-        finite[v] = true;
-      }
-    }
-    a.n_m = static_cast<size_t>(std::count(finite.begin(), finite.end(), true));
-    a.m_m = arcs_among(finite);
-    std::vector<bool> reaches_rec = g.CanReach(rec_nodes);
-    std::vector<bool> safe(n, false);
-    for (NodeId v = 0; v < n; ++v) safe[v] = finite[v] && !reaches_rec[v];
-    a.n_m_hat = static_cast<size_t>(std::count(safe.begin(), safe.end(), true));
-    a.m_m_hat = arcs_entering(safe);
-  }
+  a.n_m = count(a.nonrecurring);
+  a.m_m = arcs_among(a.nonrecurring);
+  a.n_m_hat = count(a.closed_nonrecurring);
+  a.m_m_hat = arcs_entering(a.closed_nonrecurring);
 
   return a;
 }

@@ -68,6 +68,14 @@ struct MagicGraphAnalysis {
   size_t n_m_hat = 0;  ///< n_m̂: those with no path to a recurring node
   size_t m_m_hat = 0;  ///< m_m̂: arcs entering the n_m̂ nodes
 
+  // --- Counting regions, per node (the n_ counts above are their sizes).
+  // The cost pass prices each method's counting work over them.
+  std::vector<bool> single_below;   ///< n_ŝ: single, distance < i_x
+  std::vector<bool> single;         ///< n_s: single
+  std::vector<bool> closed_single;  ///< n_i: single, no path to non-single
+  std::vector<bool> nonrecurring;   ///< n_m: single or multiple
+  std::vector<bool> closed_nonrecurring;  ///< n_m̂: no path to recurring
+
   bool regular() const { return graph_class == GraphClass::kRegular; }
   bool cyclic() const { return graph_class == GraphClass::kCyclic; }
 
