@@ -384,32 +384,9 @@ const Case kCases[] = {
      "  mc/multiple/int   safe    regular graph: every node single, counting covers everything\n"
      "  mc/recurring/ind  safe    regular graph: counting covers everything\n"
      "  mc/recurring/int  safe    regular graph: counting covers everything\n"
-     "cost model (n_L=3, m_L=2, m_R=1, class=regular):\n"
-     "  method            verdict     predicted   worst-case  formula\n"
-     "  counting          unknown             5            5  m_L + n_L*m_R\n"
-     "  magic_sets        safe                2            2  m_L*m_R\n"
-     "  mc/basic/ind      safe                7            5  m_L + n_L*m_R\n"
-     "  mc/basic/int      safe                7            5  m_L + n_L*m_R\n"
-     "  mc/single/ind     safe                7            5  m_L + n_L*m_R\n"
-     "  mc/single/int     safe                7            5  m_L + n_L*m_R\n"
-     "  mc/multiple/ind   safe                7            5  m_L + n_L*m_R\n"
-     "  mc/multiple/int   safe                7            5  m_L + n_L*m_R\n"
-     "  mc/recurring/ind  safe               15            5  m_L + n_L*m_R\n"
-     "  mc/recurring/int  safe               15            5  m_L + n_L*m_R\n"
-     "ranking (by predicted cost): magic_sets < mc/basic/int < mc/basic/ind < mc/single/int < mc/single/ind < mc/multiple/int < mc/multiple/ind < mc/recurring/int < mc/recurring/ind\n"
-     "dominance (Figure 3): counting <= magic_sets [VIOLATED], mc/basic/ind <= magic_sets [VIOLATED], mc/basic/int <= magic_sets [VIOLATED]\n"
+     "cost model: not computed (the magic graph covers part of 'l' only: the program adds tuples the graph does not hold)\n"
      "4:1: note: query is canonical strongly linear: CSL{P=p E=e L=l R=r a=0} [N501]\n"
-     "4:1: note: cost[counting]: predicted 5, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[magic_sets]: predicted 2, worst-case 2 tuple retrievals (m_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/basic/ind]: predicted 7, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/basic/int]: predicted 7, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/single/ind]: predicted 7, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/single/int]: predicted 7, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/multiple/ind]: predicted 7, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/multiple/int]: predicted 7, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/recurring/ind]: predicted 15, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost[mc/recurring/int]: predicted 15, worst-case 5 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "4:1: note: cost model over 'l': n_L=3 m_L=2 m_R=1, regular; cheapest safe method: magic_sets (predicted 2) [N602]\n"},
+     "4:1: note: cost model: the magic graph covers part of 'l' only: the program adds tuples the graph does not hold; method selection falls back to the static order [N603]\n"},
     {"derived_l_program_l_fact",
      "l(X, Y) :- base(X, Y).\n"
      "l(5, 6).\n"
@@ -428,32 +405,9 @@ const Case kCases[] = {
      "  mc/multiple/int   safe    regular graph: every node single, counting covers everything\n"
      "  mc/recurring/ind  safe    regular graph: counting covers everything\n"
      "  mc/recurring/int  safe    regular graph: counting covers everything\n"
-     "cost model (n_L=1, m_L=0, m_R=1, class=regular):\n"
-     "  method            verdict     predicted   worst-case  formula\n"
-     "  counting          unknown             1            1  m_L + n_L*m_R\n"
-     "  magic_sets        safe                0            0  m_L*m_R\n"
-     "  mc/basic/ind      safe                1            1  m_L + n_L*m_R\n"
-     "  mc/basic/int      safe                1            1  m_L + n_L*m_R\n"
-     "  mc/single/ind     safe                1            1  m_L + n_L*m_R\n"
-     "  mc/single/int     safe                1            1  m_L + n_L*m_R\n"
-     "  mc/multiple/ind   safe                1            1  m_L + n_L*m_R\n"
-     "  mc/multiple/int   safe                1            1  m_L + n_L*m_R\n"
-     "  mc/recurring/ind  safe                1            1  m_L + n_L*m_R\n"
-     "  mc/recurring/int  safe                1            1  m_L + n_L*m_R\n"
-     "ranking (by predicted cost): magic_sets < mc/basic/int < mc/basic/ind < mc/single/int < mc/single/ind < mc/multiple/int < mc/multiple/ind < mc/recurring/int < mc/recurring/ind\n"
-     "dominance (Figure 3): counting <= magic_sets [VIOLATED], mc/basic/ind <= magic_sets [VIOLATED], mc/basic/int <= magic_sets [VIOLATED]\n"
+     "cost model: not computed (the magic graph covers part of 'l' only: the program adds tuples the graph does not hold)\n"
      "7:1: note: query is canonical strongly linear: CSL{P=p E=e L=l R=r a=0} [N501]\n"
-     "7:1: note: cost[counting]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[magic_sets]: predicted 0, worst-case 0 tuple retrievals (m_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/basic/ind]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/basic/int]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/single/ind]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/single/int]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/multiple/ind]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/multiple/int]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/recurring/ind]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost[mc/recurring/int]: predicted 1, worst-case 1 tuple retrievals (m_L + n_L*m_R) [N601]\n"
-     "7:1: note: cost model over 'l': n_L=1 m_L=0 m_R=1, regular; cheapest safe method: magic_sets (predicted 0) [N602]\n"},
+     "7:1: note: cost model: the magic graph covers part of 'l' only: the program adds tuples the graph does not hold; method selection falls back to the static order [N603]\n"},
     {"db_non_binary_l", CSL_RULES "p(1, Y)?\n",
      &kTernaryL,
      "counting-safety verdicts (canonical strongly linear; magic graph not analyzed):\n"
