@@ -12,7 +12,9 @@
 //
 // Paths checked: Strategy::kAuto, kSafe, kCounting and the forced
 // mc:single:ind walk on every program RecognizeQuery accepts, and kAuto on
-// every other one. The EDBs are seeded from MCM_FUZZ_SEED
+// every other one. On each path ExplainProgram must name the planner path
+// SolveProgram takes, and that path must be the CSL ladder exactly when the
+// analysis recognized the query. The EDBs are seeded from MCM_FUZZ_SEED
 // (storage/fuzz_util.h); MCM_FUZZ_ITERS of 5 or more widens the variable
 // pool from four to five variables (the ctest soak profile sets 5).
 #include <gtest/gtest.h>
@@ -141,9 +143,25 @@ std::vector<Path> Paths() {
   return paths;
 }
 
+/// The planner path a report took: "ladder" (a CSL rung), "magic_rewrite"
+/// or "bottom_up". An explain report lists the ladder's rungs as its
+/// attempts and none for the other two paths.
+std::string PathOf(const core::PlanReport& report, bool explained) {
+  if (explained) {
+    if (!report.attempts.empty()) return "ladder";
+    return report.kind == core::PlanKind::kMagicSets ? "magic_rewrite"
+                                                     : "bottom_up";
+  }
+  const std::string& first = report.attempts.front().method;
+  return first == "magic_rewrite" || first == "bottom_up" ? first : "ladder";
+}
+
 /// Runs the paths on one program and EDB; returns the number of paths
-/// whose answers differ from naive evaluation and reports the first
-/// `*report_budget` of them.
+/// that go wrong and reports the first `*report_budget` of them. A path
+/// goes wrong when its answers differ from naive evaluation, when
+/// ExplainProgram names another planner path than SolveProgram takes, or
+/// when SolveProgram walks the CSL ladder and the analysis did not
+/// recognize the query, or the other way round.
 size_t CountWrongPaths(const std::string& src, const Goal& goal,
                        const Edb& edb, int* report_budget) {
   Result<dl::Program> program = dl::Parse(src);
@@ -160,19 +178,34 @@ size_t CountWrongPaths(const std::string& src, const Goal& goal,
   for (const Path& path : paths) {
     Database db;
     edb.Load(&db);
+    Result<core::PlanReport> plan =
+        core::ExplainProgram(&db, *program, path.options);
     Result<core::PlanReport> report =
         core::SolveProgram(&db, *program, path.options);
-    std::optional<std::set<Value>> got;
-    if (report.ok()) got = Project(report->results, goal.free_col);
-    if (got == want) continue;
+    std::string problem;
+    if (!report.ok()) {
+      problem = "solve failed: " + report.status().ToString();
+    } else if (Project(report->results, goal.free_col) != *want) {
+      problem = "disagrees with naive evaluation: " + report->description;
+    } else if (!plan.ok()) {
+      problem = "explain failed: " + plan.status().ToString();
+    } else if (PathOf(*plan, true) != PathOf(*report, false)) {
+      problem = "explain names the " + PathOf(*plan, true) +
+                " path, solve takes " + PathOf(*report, false) + ": " +
+                report->description;
+    } else if ((plan->safety.form != analysis::QueryForm::kNotStronglyLinear) !=
+               (PathOf(*report, false) == "ladder")) {
+      problem = "the analysis classifies the query as " +
+                std::string(analysis::QueryFormToString(plan->safety.form)) +
+                ", solve takes " + PathOf(*report, false);
+    }
+    if (problem.empty()) continue;
     ++wrong;
     if (*report_budget > 0) {
       --*report_budget;
-      ADD_FAILURE() << "--method " << path.spec << " disagrees with naive "
-                    << "evaluation on\n"
+      ADD_FAILURE() << "--method " << path.spec << " on\n"
                     << src << "over " << edb.ToString() << "\n"
-                    << (report.ok() ? report->description
-                                    : report.status().ToString());
+                    << problem;
     }
   }
   return wrong;
