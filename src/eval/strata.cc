@@ -1,90 +1,8 @@
 #include "eval/strata.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include "graph/digraph.h"
 
 namespace mcm::eval {
-
-namespace {
-
-// Iterative Tarjan SCC over predicate names (indices into `preds`).
-class SccFinder {
- public:
-  SccFinder(size_t n, const std::vector<std::vector<size_t>>& adj)
-      : adj_(adj),
-        index_(n, kUnvisited),
-        lowlink_(n, 0),
-        on_stack_(n, false) {}
-
-  // Returns components in *reverse topological* order (Tarjan property:
-  // a component is emitted only after all components it depends on).
-  std::vector<std::vector<size_t>> Run() {
-    for (size_t v = 0; v < index_.size(); ++v) {
-      if (index_[v] == kUnvisited) Visit(v);
-    }
-    return components_;
-  }
-
- private:
-  static constexpr size_t kUnvisited = static_cast<size_t>(-1);
-
-  void Visit(size_t root) {
-    struct Frame {
-      size_t v;
-      size_t edge;
-    };
-    std::vector<Frame> call_stack{{root, 0}};
-    while (!call_stack.empty()) {
-      Frame& f = call_stack.back();
-      size_t v = f.v;
-      if (f.edge == 0) {
-        index_[v] = lowlink_[v] = next_index_++;
-        stack_.push_back(v);
-        on_stack_[v] = true;
-      }
-      bool descended = false;
-      while (f.edge < adj_[v].size()) {
-        size_t w = adj_[v][f.edge++];
-        if (index_[w] == kUnvisited) {
-          call_stack.push_back({w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack_[w]) {
-          lowlink_[v] = std::min(lowlink_[v], index_[w]);
-        }
-      }
-      if (descended) continue;
-      // Post-order for v.
-      if (lowlink_[v] == index_[v]) {
-        std::vector<size_t> comp;
-        while (true) {
-          size_t w = stack_.back();
-          stack_.pop_back();
-          on_stack_[w] = false;
-          comp.push_back(w);
-          if (w == v) break;
-        }
-        components_.push_back(std::move(comp));
-      }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        size_t parent = call_stack.back().v;
-        lowlink_[parent] = std::min(lowlink_[parent], lowlink_[v]);
-      }
-    }
-  }
-
-  const std::vector<std::vector<size_t>>& adj_;
-  std::vector<size_t> index_;
-  std::vector<size_t> lowlink_;
-  std::vector<bool> on_stack_;
-  std::vector<size_t> stack_;
-  std::vector<std::vector<size_t>> components_;
-  size_t next_index_ = 0;
-};
-
-}  // namespace
 
 Result<Stratification> Stratify(const dl::Program& program) {
   // Collect IDB predicates (those with rules).
@@ -97,7 +15,7 @@ Result<Stratification> Stratify(const dl::Program& program) {
   }
 
   const size_t n = preds.size();
-  std::vector<std::vector<size_t>> adj(n);
+  graph::Digraph deps(n);
   // (head, body) pairs with negative dependency, for the stratification
   // check after SCCs are known.
   std::vector<std::pair<size_t, size_t>> neg_edges;
@@ -108,16 +26,18 @@ Result<Stratification> Stratify(const dl::Program& program) {
       if (l.kind != dl::Literal::Kind::kAtom) continue;
       auto it = pred_id.find(l.atom.predicate);
       if (it == pred_id.end()) continue;  // EDB predicate
-      adj[h].push_back(it->second);
+      deps.AddArc(static_cast<graph::NodeId>(h),
+                  static_cast<graph::NodeId>(it->second));
       if (l.negated) neg_edges.emplace_back(h, it->second);
     }
   }
 
-  std::vector<std::vector<size_t>> comps = SccFinder(n, adj).Run();
+  // Tarjan's order: a component comes after every component it depends on.
+  std::vector<std::vector<graph::NodeId>> comps = deps.Sccs();
 
   std::vector<size_t> comp_of(n, 0);
   for (size_t c = 0; c < comps.size(); ++c) {
-    for (size_t v : comps[c]) comp_of[v] = c;
+    for (graph::NodeId v : comps[c]) comp_of[v] = c;
   }
 
   // Negation must cross strata downward.
@@ -134,7 +54,7 @@ Result<Stratification> Stratify(const dl::Program& program) {
   out.strata.resize(comps.size());
   for (size_t c = 0; c < comps.size(); ++c) {
     Stratum& s = out.strata[c];
-    for (size_t v : comps[c]) {
+    for (graph::NodeId v : comps[c]) {
       s.predicates.push_back(preds[v]);
       out.stratum_of[preds[v]] = c;
     }
