@@ -1,4 +1,4 @@
-// A small Datalog interpreter over the generic engine.
+// A small Datalog interpreter over the query planner.
 //
 // Usage:
 //   datalog_repl [file.dl]       evaluate a program file and print query
@@ -8,22 +8,25 @@
 //   datalog_repl -i              force the interactive session even when
 //                                stdin is piped (for scripted use)
 //
-// Batch mode: if the program happens to be a canonical strongly linear
-// query (the paper's class), the interpreter also reports the magic-graph
-// class and evaluates it with an automatically chosen magic counting
-// method, printing the cost comparison against plain bottom-up evaluation.
+// Batch mode solves each query of the program through the planner
+// (core::SolveProgram), one query at a time on a fresh database, and prints
+// the plan and the answers. When the query is in the paper's class, it also
+// answers it with mc:basic:ind, mc:multiple:int, mc:smart:int and
+// bottom_up, each through the planner, and prints what each cost.
 //
 // Interactive mode accumulates rules/facts/queries line by line and
 // understands:
 //   :check   run the static analyzer (diagnostics + safety verdict table)
 //   :explain show the cost model's per-method table and the plan the
 //            planner would pick, without running anything
-//   :run     evaluate the program and print query results (single-query
-//            programs go through the planner, so the execution governor and
-//            the degradation ladder apply)
+//   :run     solve each query through the planner, one at a time, under the
+//            :set knobs (the execution governor and the degradation ladder
+//            apply), and print its plan and results
 //   :set     show or change governor knobs:
 //              :set timeout MS | :set iterations N | :set tuples N |
 //              :set fallback on|off
+//            iterations 0 is the planner's default round-cap policy (see
+//            core::RunOptions::max_iterations)
 //   :list    show the accumulated program
 //   :reset   discard the accumulated program
 //   :quit    exit (as does end-of-input)
@@ -38,11 +41,7 @@
 
 #include "analysis/analyzer.h"
 #include "core/planner.h"
-#include "core/solver.h"
 #include "datalog/parser.h"
-#include "eval/engine.h"
-#include "rewrite/csl.h"
-#include "runtime/execution_context.h"
 
 using namespace mcm;
 
@@ -76,55 +75,81 @@ void PrintTuples(const Database& db, const dl::Atom& goal,
   }
 }
 
-int RunBatch(const std::string& source) {
-  auto prog = dl::Parse(source);
-  if (!prog.ok()) return Fail(prog.status());
+/// Governor knobs adjustable with :set.
+struct ReplSettings {
+  core::RunOptions run;
+  bool fallback = true;
+};
 
-  Database db;
-  eval::EvalOptions options;
-  options.max_iterations = 100000;
-  eval::Engine engine(&db, options);
-  Status st = engine.Run(*prog);
-  if (!st.ok()) return Fail(st);
-
-  std::printf("evaluated %zu rules in %llu fixpoint rounds, %llu tuples "
-              "derived (%llu tuple reads)\n\n",
-              prog->rules.size(),
-              static_cast<unsigned long long>(engine.info().iterations),
-              static_cast<unsigned long long>(engine.info().tuples_derived),
-              static_cast<unsigned long long>(db.stats().tuples_read));
-
-  for (const dl::Query& query : prog->queries) {
-    auto tuples = engine.Query(query.goal);
-    if (!tuples.ok()) return Fail(tuples.status());
-    PrintTuples(db, query.goal, *tuples);
+/// Answer `program`'s one query with three magic counting methods and
+/// bottom-up evaluation, each through the planner on a fresh database, and
+/// print what each cost.
+void RunDemo(const dl::Program& program,
+             const analysis::CountingSafetyReport& safety) {
+  std::printf("\nquery is %s (%s); running the magic counting methods:\n",
+              std::string(analysis::QueryFormToString(safety.form)).c_str(),
+              safety.signature.c_str());
+  for (const char* spec :
+       {"mc:basic:ind", "mc:multiple:int", "mc:smart:int", "bottom_up"}) {
+    core::PlannerOptions options;
+    static_cast<void>(core::ParseMethod(spec, &options));
+    Database db;
+    auto report = core::SolveProgram(&db, program, options);
+    if (report.ok()) {
+      std::printf("  %-16s %zu answer(s), %llu tuple reads (%s)\n", spec,
+                  report->results.size(),
+                  static_cast<unsigned long long>(report->stats.tuples_read),
+                  report->attempts.back().method.c_str());
+    } else {
+      std::printf("  %-16s failed: %s\n", spec,
+                  report.status().ToString().c_str());
+    }
   }
+}
 
-  // Bonus: if this is a CSL query, demonstrate the magic counting methods.
-  auto csl = rewrite::RecognizeCsl(*prog);
-  if (csl.ok()) {
-    std::printf("\nprogram is canonical strongly linear (%s); running the "
-                "magic counting methods:\n",
-                csl->ToString().c_str());
-    uint64_t baseline_reads = db.stats().tuples_read;
-    Value a = rewrite::ResolveSource(*csl, &db);
-    core::CslSolver solver(&db, csl->l, csl->e, csl->r, a);
-    for (auto [variant, mode] :
-         {std::pair{core::McVariant::kBasic, core::McMode::kIndependent},
-          std::pair{core::McVariant::kMultiple, core::McMode::kIntegrated},
-          std::pair{core::McVariant::kRecurringSmart,
-                    core::McMode::kIntegrated}}) {
-      auto run = solver.RunMagicCounting(variant, mode);
-      if (run.ok()) {
-        std::printf("  %s\n", run->ToString().c_str());
-      } else {
-        std::printf("  failed: %s\n", run.status().ToString().c_str());
+/// Solve each query of `source` through the planner, one at a time and each
+/// on a fresh database (the program's facts are its only data), printing
+/// the plan and the answers. With `demo`, a query in the paper's class is
+/// also answered by RunDemo.
+Status SolveQueries(const std::string& source, const ReplSettings& settings,
+                    bool demo) {
+  MCM_ASSIGN_OR_RETURN(dl::Program program, dl::Parse(source));
+  if (program.queries.empty()) {
+    MCM_RETURN_NOT_OK(analysis::Analyze(program).ToStatus());
+    std::printf("no query to solve\n");
+    return Status::OK();
+  }
+  core::PlannerOptions options;
+  options.run = settings.run;
+  options.allow_fallback = settings.fallback;
+  dl::Program single = program;
+  for (const dl::Query& query : program.queries) {
+    single.queries = {query};
+    Database db;
+    MCM_ASSIGN_OR_RETURN(core::PlanReport report,
+                         core::SolveProgram(&db, single, options));
+    if (report.attempts.size() > 1) {
+      std::printf("attempts:\n");
+      for (const core::PlanAttempt& a : report.attempts) {
+        std::printf("  %s\n", a.ToString().c_str());
       }
     }
-    std::printf("  (bottom-up evaluation above cost %llu reads)\n",
-                static_cast<unsigned long long>(baseline_reads));
+    std::printf("plan: %s [%s], %llu tuple reads\n",
+                core::PlanKindToString(report.kind).c_str(),
+                report.description.c_str(),
+                static_cast<unsigned long long>(report.stats.tuples_read));
+    PrintTuples(db, query.goal, report.results);
+    if (demo &&
+        report.safety.form != analysis::QueryForm::kNotStronglyLinear) {
+      RunDemo(single, report.safety);
+    }
   }
-  return 0;
+  return Status::OK();
+}
+
+int RunBatch(const std::string& source) {
+  Status st = SolveQueries(source, ReplSettings{}, /*demo=*/true);
+  return st.ok() ? 0 : Fail(st);
 }
 
 void CheckProgram(const std::string& source) {
@@ -173,85 +198,19 @@ void ExplainReplProgram(const std::string& source) {
               report->description.c_str());
 }
 
-/// Governor knobs adjustable with :set.
-struct ReplSettings {
-  core::RunOptions run;
-  bool fallback = true;
-};
-
-void RunInteractiveProgram(const std::string& source,
-                           const ReplSettings& settings) {
-  auto prog = dl::Parse(source);
-  if (!prog.ok()) {
-    std::printf("parse error: %s\n", prog.status().ToString().c_str());
-    return;
-  }
-  Database db;
-
-  // Single-query programs go through the planner: governed execution plus
-  // the degradation ladder, with the attempt log echoed on fallback.
-  if (prog->queries.size() == 1) {
-    core::PlannerOptions options;
-    options.run = settings.run;
-    options.allow_fallback = settings.fallback;
-    auto report = core::SolveProgram(&db, *prog, options);
-    if (!report.ok()) {
-      std::printf("error: %s\n", report.status().ToString().c_str());
-      return;
-    }
-    if (report->attempts.size() > 1) {
-      std::printf("attempts:\n");
-      for (const core::PlanAttempt& a : report->attempts) {
-        std::printf("  %s\n", a.ToString().c_str());
-      }
-    }
-    std::printf("plan: %s [%s]\n",
-                core::PlanKindToString(report->kind).c_str(),
-                report->description.c_str());
-    PrintTuples(db, prog->queries[0].goal, report->results);
-    return;
-  }
-
-  eval::EvalOptions options;
-  options.max_iterations =
-      settings.run.max_iterations != 0 ? settings.run.max_iterations : 100000;
-  options.max_tuples = settings.run.max_tuples;
-  options.max_memory_bytes = settings.run.max_memory_bytes;
-  runtime::ExecutionContext ctx;
-  if (settings.run.timeout_ms > 0) {
-    ctx = runtime::ExecutionContext::WithTimeout(settings.run.timeout_ms);
-    options.context = &ctx;
-  }
-  eval::Engine engine(&db, options);
-  Status st = engine.Run(*prog);
-  if (!st.ok()) {
-    std::printf("error: %s\n", st.ToString().c_str());
-    return;
-  }
-  std::printf("%llu tuples derived in %llu rounds\n",
-              static_cast<unsigned long long>(engine.info().tuples_derived),
-              static_cast<unsigned long long>(engine.info().iterations));
-  for (const dl::Query& query : prog->queries) {
-    auto tuples = engine.Query(query.goal);
-    if (!tuples.ok()) {
-      std::printf("error: %s\n", tuples.status().ToString().c_str());
-      return;
-    }
-    PrintTuples(db, query.goal, *tuples);
-  }
-}
-
 void HandleSet(const std::string& line, ReplSettings* settings) {
   std::istringstream in(line);
   std::string cmd, key, value;
   in >> cmd >> key >> value;
   if (key.empty()) {
     std::printf("timeout    %llu ms (0 = none)\n"
-                "iterations %llu (0 = auto: n_L rounds for plain counting)\n"
+                "iterations %llu (0 = auto: n_L rounds for plain counting, "
+                "%llu per stratum for the program's rules)\n"
                 "tuples     %llu (0 = unlimited)\n"
                 "fallback   %s\n",
                 static_cast<unsigned long long>(settings->run.timeout_ms),
                 static_cast<unsigned long long>(settings->run.max_iterations),
+                static_cast<unsigned long long>(core::kProgramRoundCap),
                 static_cast<unsigned long long>(settings->run.max_tuples),
                 settings->fallback ? "on" : "off");
     return;
@@ -300,7 +259,8 @@ int RunInteractive() {
     } else if (line == ":explain") {
       ExplainReplProgram(program);
     } else if (line == ":run") {
-      RunInteractiveProgram(program, settings);
+      Status st = SolveQueries(program, settings, /*demo=*/false);
+      if (!st.ok()) std::printf("error: %s\n", st.ToString().c_str());
     } else if (line.rfind(":set", 0) == 0) {
       HandleSet(line, &settings);
     } else if (line == ":list") {

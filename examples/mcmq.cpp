@@ -24,7 +24,9 @@
 //                                 (basic|single|multiple|recurring|smart),
 //                                 mode M (ind|int)
 //   --out path       write the result tuples as TSV
-//   --profile        print a per-rule cost breakdown (bottom_up only)
+//   --profile        evaluate the program bottom-up, under the same
+//                    governor and default round cap as the planner's
+//                    bottom_up path, and print a per-rule cost breakdown
 //   --explain        print the static analysis — the Propositions 4-7 cost
 //                    table, the safety verdicts, and the plan the planner
 //                    would choose with its ladder order — WITHOUT running
@@ -32,8 +34,10 @@
 //   --timeout-ms N     wall-clock deadline for the whole run
 //   --max-tuples N     abort when a fixpoint materializes more tuples
 //   --max-iterations N fixpoint round / counting level cap for every rung
-//                      (default: n_L rounds for plain counting, none for
-//                      the rungs that cannot diverge; see RunOptions)
+//                      and every stratum (default: n_L rounds for plain
+//                      counting, none for the other CSL rungs,
+//                      core::kProgramRoundCap per stratum for the program's
+//                      own rules; see RunOptions::max_iterations)
 //   --max-memory-bytes N  approximate memory budget for derived relations
 //   --no-fallback      fail on the first aborted attempt instead of
 //                      degrading to the next-safer method (Figure 3 order)
@@ -168,18 +172,12 @@ int main(int argc, char** argv) {
   }
 
   if (profile) {
-    // Profiling implies plain evaluation so every rule is observable.
-    eval::EvalOptions eopts;
-    eopts.profile = true;
-    eopts.max_iterations =
-        run.max_iterations != 0 ? run.max_iterations : 1u << 20;
-    eopts.max_tuples = run.max_tuples;
-    eopts.max_memory_bytes = run.max_memory_bytes;
+    // Profiling implies plain evaluation so every rule is observable; it
+    // runs under the planner's governor and program round cap.
     runtime::ExecutionContext ctx;
-    if (run.timeout_ms > 0) {
-      ctx = runtime::ExecutionContext::WithTimeout(run.timeout_ms);
-      eopts.context = &ctx;
-    }
+    eval::EvalOptions eopts =
+        core::GovernedEvalOptions(run, core::kProgramRoundCap, &ctx);
+    eopts.profile = true;
     eval::Engine engine(&db, eopts);
     Status st = engine.Run(*prog);
     if (!st.ok()) return Fail(st.ToString());

@@ -63,12 +63,18 @@ AnalysisResult Analyze(const dl::Program& program,
   dl::ValidateInto(program, &result.diagnostics);
   result.deps = AnalyzeDependencies(program, options.db, &result.diagnostics);
   AnalyzeBindings(program, result.deps, &result.diagnostics);
+  if (Result<rewrite::RecognizedQuery> recognized =
+          rewrite::RecognizeQuery(program);
+      recognized.ok()) {
+    result.recognized = std::move(*recognized);
+  }
   if (options.counting_safety) {
     // One magic graph per request: the safety pass builds it, the cost pass
     // reads it, and it dies with this call.
     MagicGraphFacts facts;
-    result.safety = AnalyzeCountingSafety(program, options.db, &facts,
-                                          &result.diagnostics);
+    result.safety =
+        AnalyzeCountingSafety(program, result.recognized, options.db, &facts,
+                              &result.diagnostics);
     result.cost = AnalyzeCost(program, result.safety, facts,
                               &result.diagnostics);
   }

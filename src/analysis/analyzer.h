@@ -16,17 +16,23 @@
 //                         the Figure 3 dominance arcs, and a predicted-cost
 //                         ranking of the safe methods.
 //
-// Passes 2-5 are advisory (warnings/notes) and run even when validation
-// found errors, so one lint run paints the whole picture. The planner
-// (core::SolveProgram) and mcm-lint both consume AnalysisResult instead of
-// re-deriving any of this.
+// Before pass 4, Analyze recognizes the query's strongly linear form once
+// (rewrite::RecognizeQuery) and keeps it on AnalysisResult::recognized,
+// whether or not passes 4-5 run. Passes 2-5 are advisory (warnings/notes)
+// and run even when validation found errors, so one lint run paints the
+// whole picture. The planner (core::SolveProgram, core::ExplainProgram)
+// and mcm-lint all consume AnalysisResult instead of re-deriving any of
+// this.
 #pragma once
+
+#include <optional>
 
 #include "analysis/cost_model.h"
 #include "analysis/depgraph.h"
 #include "analysis/safety.h"
 #include "datalog/ast.h"
 #include "datalog/diagnostic.h"
+#include "rewrite/strongly_linear.h"
 #include "storage/database.h"
 #include "util/status.h"
 
@@ -48,6 +54,10 @@ struct AnalyzeOptions {
 struct AnalysisResult {
   dl::DiagnosticBag diagnostics;
   DependencyInfo deps;
+  /// The query's strongly linear form; nullopt outside the paper's class.
+  /// The safety pass reads it, and the planner walks the method ladder
+  /// exactly when it is set (and the strategy tries the ladder).
+  std::optional<rewrite::RecognizedQuery> recognized;
   CountingSafetyReport safety;
   CostReport cost;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <variant>
 
-#include "rewrite/strongly_linear.h"
-
 namespace mcm::analysis {
 
 using dl::DiagCode;
@@ -237,14 +235,12 @@ void AddMcVerdicts(CountingSafetyReport* report) {
 
 }  // namespace
 
-CountingSafetyReport AnalyzeCountingSafety(const dl::Program& program,
-                                           const Database* db,
-                                           MagicGraphFacts* facts,
-                                           dl::DiagnosticBag* bag) {
+CountingSafetyReport AnalyzeCountingSafety(
+    const dl::Program& program,
+    const std::optional<rewrite::RecognizedQuery>& recognized,
+    const Database* db, MagicGraphFacts* facts, dl::DiagnosticBag* bag) {
   CountingSafetyReport report;
-  Result<rewrite::RecognizedQuery> recognized =
-      rewrite::RecognizeQuery(program);
-  if (!recognized.ok()) return report;  // outside the paper's class
+  if (!recognized.has_value()) return report;  // outside the paper's class
   const dl::Query& query = program.queries[0];
 
   std::string unknown_reason;

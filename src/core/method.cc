@@ -27,6 +27,24 @@ std::string McModeToString(McMode m) {
   return m == McMode::kIndependent ? "independent" : "integrated";
 }
 
+eval::EvalOptions GovernedEvalOptions(const RunOptions& options,
+                                      uint64_t default_cap,
+                                      runtime::ExecutionContext* local_ctx) {
+  eval::EvalOptions eopts;
+  eopts.max_iterations =
+      options.max_iterations != 0 ? options.max_iterations : default_cap;
+  eopts.max_tuples = options.max_tuples;
+  eopts.max_memory_bytes = options.max_memory_bytes;
+  eopts.assume_validated = options.assume_validated;
+  if (options.context != nullptr) {
+    eopts.context = options.context;
+  } else if (options.timeout_ms > 0) {
+    *local_ctx = runtime::ExecutionContext::WithTimeout(options.timeout_ms);
+    eopts.context = local_ctx;
+  }
+  return eopts;
+}
+
 uint64_t CountingRoundCap(const RunOptions& options, const Relation* l,
                           Value a) {
   if (options.max_iterations != 0) return options.max_iterations;

@@ -190,10 +190,12 @@ std::vector<std::string> LadderMethodIds(
   return ids;
 }
 
-/// Whether `strategy` walks the strongly linear ladder at all.
-bool TriesStronglyLinear(Strategy strategy) {
+/// Whether the plan walks the strongly linear ladder: the strategy tries it
+/// and the analysis recognized the query. SolveProgram and ExplainProgram
+/// both decide with this test.
+bool WalksLadder(Strategy strategy, const analysis::AnalysisResult& analysis) {
   return strategy != Strategy::kMagicRewrite &&
-         strategy != Strategy::kBottomUp;
+         strategy != Strategy::kBottomUp && analysis.recognized.has_value();
 }
 
 /// Whether `strategy` tries the generalized magic rewrite on `goal`: only
@@ -204,29 +206,41 @@ bool TriesMagicRewrite(Strategy strategy, const dl::Atom& goal) {
                      [](const dl::Term& t) { return t.IsConstant(); });
 }
 
-}  // namespace
-
-Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
-                                const PlannerOptions& options) {
-  // One analyzer run replaces the per-engine dl::Validate calls: planning
-  // aborts on errors, warnings ride along in the report, and the static
-  // counting-safety verdicts gate the strategy choice below.
-  analysis::AnalysisResult local_analysis;
+/// The analysis a plan starts from: `options.analysis` when set, else one
+/// analyzer run over `program` into `local`. One analyzer run replaces the
+/// per-engine dl::Validate calls: planning aborts on errors, and the
+/// recognized query and the safety verdicts drive the strategy choice.
+Result<const analysis::AnalysisResult*> PlanningAnalysis(
+    const Database* db, const dl::Program& program,
+    const PlannerOptions& options, analysis::AnalysisResult* local) {
   const analysis::AnalysisResult* analysis = options.analysis;
   if (analysis == nullptr) {
     analysis::AnalyzeOptions aopts;
     aopts.db = db;
-    local_analysis = analysis::Analyze(program, aopts);
-    analysis = &local_analysis;
+    *local = analysis::Analyze(program, aopts);
+    analysis = local;
   }
   MCM_RETURN_NOT_OK(analysis->ToStatus());
   if (program.queries.size() != 1) {
     return Status::Unsupported("planner expects exactly one query");
   }
+  return analysis;
+}
+
+}  // namespace
+
+Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
+                                const PlannerOptions& options) {
+  analysis::AnalysisResult local_analysis;
+  MCM_ASSIGN_OR_RETURN(
+      const analysis::AnalysisResult* analysis,
+      PlanningAnalysis(db, program, options, &local_analysis));
   const dl::Query& query = program.queries[0];
 
+  AccessStats before = db->stats();
   std::vector<PlanAttempt> attempts;
-  auto finish_report = [&analysis, &attempts](PlanReport report) {
+  auto finish_report = [&analysis, &attempts, db, &before](PlanReport report) {
+    report.stats.tuples_read = db->stats().tuples_read - before.tuples_read;
     report.diagnostics = analysis->diagnostics.diagnostics();
     report.safety = analysis->safety;
     report.cost = analysis->cost;
@@ -234,38 +248,22 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
     return report;
   };
 
-  // Governor for the non-ladder paths (support materialization, magic
-  // rewriting, bottom-up). Ladder tiers build their own per-attempt
-  // deadline inside the solver so a retry gets a fresh budget.
+  // Governor for the program's own rules (support materialization and
+  // composition, magic rewriting, bottom-up), under the program round cap.
+  // Ladder tiers build their own per-attempt deadline inside the solver so
+  // a retry gets a fresh budget.
   runtime::ExecutionContext planner_ctx;
-  const runtime::ExecutionContext* governor = options.run.context;
-  if (governor == nullptr && options.run.timeout_ms > 0) {
-    planner_ctx =
-        runtime::ExecutionContext::WithTimeout(options.run.timeout_ms);
-    governor = &planner_ctx;
-  }
-  auto governed_eopts = [&options, governor]() {
-    eval::EvalOptions eopts;
-    eopts.max_iterations = options.run.max_iterations;
-    eopts.max_tuples = options.run.max_tuples;
-    eopts.max_memory_bytes = options.run.max_memory_bytes;
-    eopts.context = governor;
-    return eopts;
-  };
-
-  AccessStats before = db->stats();
+  const eval::EvalOptions governed =
+      GovernedEvalOptions(options.run, kProgramRoundCap, &planner_ctx);
 
   // --- Path 1: magic counting on a (possibly derived / composed)
   // strongly linear query. ---
-  Result<rewrite::RecognizedQuery> recognized =
-      TriesStronglyLinear(options.strategy)
-          ? rewrite::RecognizeQuery(program)
-          : Status::Unsupported("strategy skips the strongly linear path");
-  if (recognized.ok()) {
+  if (WalksLadder(options.strategy, *analysis)) {
+    const rewrite::RecognizedQuery& recognized = *analysis->recognized;
     // Materialize derived support predicates first.
-    const dl::Program& support = recognized->support;
+    const dl::Program& support = recognized.support;
     if (!support.rules.empty()) {
-      eval::EvalOptions eopts = governed_eopts();
+      eval::EvalOptions eopts = governed;
       eopts.assume_validated = true;
       eval::Engine engine(db, eopts);
       MCM_RETURN_NOT_OK(engine.Run(support));
@@ -276,139 +274,132 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
     auto create_if_missing = [db](const std::string& name) {
       if (db->Find(name) == nullptr) db->GetOrCreateRelation(name, 2);
     };
-    Result<rewrite::CslQuery> csl = Status::Unsupported("not recognized");
+    rewrite::CslQuery csl;
     std::string how;
     if (const auto* canonical =
-            std::get_if<rewrite::CslQuery>(&recognized->form)) {
+            std::get_if<rewrite::CslQuery>(&recognized.form)) {
       csl = *canonical;
     } else if (const auto* slq = std::get_if<rewrite::StronglyLinearQuery>(
-                   &recognized->form)) {
-      csl = rewrite::MaterializeStronglyLinear(db, *slq);
+                   &recognized.form)) {
+      MCM_ASSIGN_OR_RETURN(
+          csl, rewrite::MaterializeStronglyLinear(db, *slq, governed));
       how = " via composed L/E/R (" + slq->ToString() + ")";
     } else {
       // Reverse-bound query P(X, b): run the mirrored forward query
       // over (L'=R, E'=E swapped, R'=L).
-      const auto& rev = std::get<rewrite::ReverseCsl>(recognized->form);
+      const auto& rev = std::get<rewrite::ReverseCsl>(recognized.form);
       create_if_missing(rev.original_e);
       MCM_RETURN_NOT_OK(
           rewrite::MaterializeSwappedE(db, rev.original_e, rev.csl.e));
       csl = rev.csl;
       how = " via reverse binding (mirrored query)";
     }
-    if (csl.ok()) {
-      for (const std::string* name : {&csl->l, &csl->e, &csl->r}) {
-        create_if_missing(*name);
-      }
-      Value a = rewrite::ResolveSource(*csl, db);
-      CslSolver solver(db, csl->l, csl->e, csl->r, a);
-
-      // Every rung evaluates a machine-generated rewrite of the program
-      // the analyzer above already validated, so the engine may skip its
-      // per-rung re-validation.
-      RunOptions run_options = options.run;
-      run_options.assume_validated = true;
-
-      // Build the degradation ladder the strategy selects (see
-      // LadderMethodIds). Plain counting is on it only when the cost
-      // ranking proved it statically safe or the caller asked for a
-      // governed attempt.
-      struct Tier {
-        std::string name;  ///< also the fault-injection site suffix
-        PlanKind kind;
-        std::string description;
-        std::function<Result<MethodRun>()> run;
-      };
-      std::string note;
-      std::vector<std::string> ids =
-          LadderMethodIds(options, *analysis, &note);
-      analysis::Verdict counting_verdict =
-          analysis->safety.VerdictFor("counting");
-      std::vector<Tier> ladder;
-      for (const std::string& id : ids) {
-        if (id == "counting") {
-          std::string description =
-              counting_verdict == analysis::Verdict::kSafe
-                  ? "pure counting (statically proven safe: acyclic "
-                    "magic graph)"
-                  : std::string("pure counting (statically ") +
-                        (counting_verdict == analysis::Verdict::kUnsafe
-                             ? "unsafe"
-                             : "undecidable") +
-                        ", attempted under the governor)";
-          ladder.push_back({"counting", PlanKind::kCounting,
-                            std::move(description),
-                            [&solver, &run_options] {
-                              return solver.RunCounting(run_options);
-                            }});
-        } else if (id == "magic_sets") {
-          ladder.push_back({"magic_sets", PlanKind::kMagicSets,
-                            "magic sets (safe bottom of the degradation "
-                            "ladder)",
-                            [&solver, &run_options] {
-                              return solver.RunMagicSets(run_options);
-                            }});
-        } else {
-          McVariant variant{};
-          McMode mode{};
-          if (!ParseMcId(id, &variant, &mode)) continue;
-          // Full-word tier name: the fault-injection sites and attempt
-          // logs predate the short cost-table ids and keep their form.
-          std::string label =
-              McVariantToString(variant) + "/" + McModeToString(mode);
-          ladder.push_back({"mc/" + label, PlanKind::kMagicCounting,
-                            "magic counting (" + label + ")",
-                            [&solver, &run_options, variant, mode] {
-                              return solver.RunMagicCounting(
-                                  variant, mode, run_options);
-                            }});
-        }
-      }
-      Status last = Status::OK();
-      for (size_t ti = 0; ti < ladder.size(); ++ti) {
-        const Tier& tier = ladder[ti];
-        Timer attempt_timer;
-        Status injected =
-            util::FaultInjection::Instance().Check("planner/" + tier.name);
-        Result<MethodRun> run = injected.ok()
-                                    ? tier.run()
-                                    : Result<MethodRun>(injected);
-        PlanAttempt attempt;
-        attempt.method = tier.name;
-        attempt.status = run.ok() ? Status::OK() : run.status();
-        attempt.abort = runtime::ClassifyAbort(attempt.status);
-        attempt.seconds = attempt_timer.ElapsedSeconds();
-        attempt.predicted_reads = PredictedFor(analysis->cost, tier.name);
-        attempts.push_back(std::move(attempt));
-        if (run.ok()) {
-          PlanReport report;
-          report.kind = tier.kind;
-          report.predicted_reads = attempts.back().predicted_reads;
-          report.description =
-              tier.description + " over " + csl->ToString() + how +
-              (support.rules.empty() ? ""
-                                     : " with materialized support") +
-              note;
-          if (attempts.size() > 1) {
-            report.description +=
-                "; degradation ladder: " + AttemptLogSummary(attempts);
-          }
-          report.detected_class = run->detected_class;
-          for (Value v : run->answers) {
-            report.results.push_back(Tuple{v});
-          }
-          AccessStats after = db->stats();
-          report.stats.tuples_read =
-              after.tuples_read - before.tuples_read;
-          return finish_report(std::move(report));
-        }
-        last = run.status();
-        if (!options.allow_fallback || !IsRecoverableAbort(last) ||
-            ti + 1 == ladder.size()) {
-          return WithAttemptLog(last, attempts);
-        }
-      }
-      return WithAttemptLog(last, attempts);  // unreachable: ladder != []
+    for (const std::string* name : {&csl.l, &csl.e, &csl.r}) {
+      create_if_missing(*name);
     }
+    Value a = rewrite::ResolveSource(csl, db);
+    CslSolver solver(db, csl.l, csl.e, csl.r, a);
+
+    // Every rung evaluates a machine-generated rewrite of the program
+    // the analyzer above already validated, so the engine may skip its
+    // per-rung re-validation.
+    RunOptions run_options = options.run;
+    run_options.assume_validated = true;
+
+    // Build the degradation ladder the strategy selects (see
+    // LadderMethodIds). Plain counting is on it only when the cost
+    // ranking proved it statically safe or the caller asked for a
+    // governed attempt.
+    struct Tier {
+      std::string name;  ///< also the fault-injection site suffix
+      PlanKind kind;
+      std::string description;
+      std::function<Result<MethodRun>()> run;
+    };
+    std::string note;
+    std::vector<std::string> ids = LadderMethodIds(options, *analysis, &note);
+    analysis::Verdict counting_verdict =
+        analysis->safety.VerdictFor("counting");
+    std::vector<Tier> ladder;
+    for (const std::string& id : ids) {
+      if (id == "counting") {
+        std::string description =
+            counting_verdict == analysis::Verdict::kSafe
+                ? "pure counting (statically proven safe: acyclic "
+                  "magic graph)"
+                : std::string("pure counting (statically ") +
+                      (counting_verdict == analysis::Verdict::kUnsafe
+                           ? "unsafe"
+                           : "undecidable") +
+                      ", attempted under the governor)";
+        ladder.push_back({"counting", PlanKind::kCounting,
+                          std::move(description),
+                          [&solver, &run_options] {
+                            return solver.RunCounting(run_options);
+                          }});
+      } else if (id == "magic_sets") {
+        ladder.push_back({"magic_sets", PlanKind::kMagicSets,
+                          "magic sets (safe bottom of the degradation "
+                          "ladder)",
+                          [&solver, &run_options] {
+                            return solver.RunMagicSets(run_options);
+                          }});
+      } else {
+        McVariant variant{};
+        McMode mode{};
+        if (!ParseMcId(id, &variant, &mode)) continue;
+        // Full-word tier name: the fault-injection sites and attempt
+        // logs predate the short cost-table ids and keep their form.
+        std::string label =
+            McVariantToString(variant) + "/" + McModeToString(mode);
+        ladder.push_back({"mc/" + label, PlanKind::kMagicCounting,
+                          "magic counting (" + label + ")",
+                          [&solver, &run_options, variant, mode] {
+                            return solver.RunMagicCounting(
+                                variant, mode, run_options);
+                          }});
+      }
+    }
+    Status last = Status::OK();
+    for (size_t ti = 0; ti < ladder.size(); ++ti) {
+      const Tier& tier = ladder[ti];
+      Timer attempt_timer;
+      Status injected =
+          util::FaultInjection::Instance().Check("planner/" + tier.name);
+      Result<MethodRun> run =
+          injected.ok() ? tier.run() : Result<MethodRun>(injected);
+      PlanAttempt attempt;
+      attempt.method = tier.name;
+      attempt.status = run.ok() ? Status::OK() : run.status();
+      attempt.abort = runtime::ClassifyAbort(attempt.status);
+      attempt.seconds = attempt_timer.ElapsedSeconds();
+      attempt.predicted_reads = PredictedFor(analysis->cost, tier.name);
+      attempts.push_back(std::move(attempt));
+      if (run.ok()) {
+        PlanReport report;
+        report.kind = tier.kind;
+        report.predicted_reads = attempts.back().predicted_reads;
+        report.description =
+            tier.description + " over " + csl.ToString() + how +
+            (support.rules.empty() ? "" : " with materialized support") +
+            note;
+        if (attempts.size() > 1) {
+          report.description +=
+              "; degradation ladder: " + AttemptLogSummary(attempts);
+        }
+        report.detected_class = run->detected_class;
+        for (Value v : run->answers) {
+          report.results.push_back(Tuple{v});
+        }
+        return finish_report(std::move(report));
+      }
+      last = run.status();
+      if (!options.allow_fallback || !IsRecoverableAbort(last) ||
+          ti + 1 == ladder.size()) {
+        return WithAttemptLog(last, attempts);
+      }
+    }
+    return WithAttemptLog(last, attempts);  // unreachable: ladder != []
   }
 
   // --- Path 2: generalized magic sets when the goal carries bindings. ---
@@ -417,11 +408,12 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
     if (magic.ok()) {
       MCM_RETURN_NOT_OK(
           util::FaultInjection::Instance().Check("planner/magic_rewrite"));
-      eval::EvalOptions eopts = governed_eopts();
-      eval::Engine engine(db, eopts);
       // Note: the rewritten program is *not* the analyzed one (magic
       // predicates violate the head-boundedness checks by design), so it is
       // validated by the engine as usual.
+      eval::EvalOptions eopts = governed;
+      eopts.assume_validated = false;
+      eval::Engine engine(db, eopts);
       Timer attempt_timer;
       Status st = engine.Run(magic->program);
       attempts.push_back(PlanAttempt{"magic_rewrite", st,
@@ -435,8 +427,6 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
         report.description = "generalized magic sets (goal pattern drives " +
                              magic->adorned_goal.predicate + ")";
         report.results = std::move(tuples);
-        AccessStats after = db->stats();
-        report.stats.tuples_read = after.tuples_read - before.tuples_read;
         return finish_report(std::move(report));
       }
       // The governor's deadline/cancellation is global to this plan, so a
@@ -452,7 +442,7 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
   // --- Path 3: plain bottom-up evaluation. ---
   MCM_RETURN_NOT_OK(
       util::FaultInjection::Instance().Check("planner/bottom_up"));
-  eval::EvalOptions eopts = governed_eopts();
+  eval::EvalOptions eopts = governed;
   eopts.assume_validated = true;  // the analyzer above already validated
   eval::Engine engine(db, eopts);
   Timer attempt_timer;
@@ -465,8 +455,6 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
   report.kind = PlanKind::kBottomUp;
   report.description = "bottom-up seminaive evaluation";
   report.results = std::move(tuples);
-  AccessStats after = db->stats();
-  report.stats.tuples_read = after.tuples_read - before.tuples_read;
   return finish_report(std::move(report));
 }
 
@@ -474,17 +462,9 @@ Result<PlanReport> ExplainProgram(const Database* db,
                                   const dl::Program& program,
                                   const PlannerOptions& options) {
   analysis::AnalysisResult local_analysis;
-  const analysis::AnalysisResult* analysis = options.analysis;
-  if (analysis == nullptr) {
-    analysis::AnalyzeOptions aopts;
-    aopts.db = db;
-    local_analysis = analysis::Analyze(program, aopts);
-    analysis = &local_analysis;
-  }
-  MCM_RETURN_NOT_OK(analysis->ToStatus());
-  if (program.queries.size() != 1) {
-    return Status::Unsupported("planner expects exactly one query");
-  }
+  MCM_ASSIGN_OR_RETURN(
+      const analysis::AnalysisResult* analysis,
+      PlanningAnalysis(db, program, options, &local_analysis));
   const dl::Query& query = program.queries[0];
 
   PlanReport report;
@@ -492,35 +472,29 @@ Result<PlanReport> ExplainProgram(const Database* db,
   report.safety = analysis->safety;
   report.cost = analysis->cost;
 
-  // Mirror SolveProgram's strategy choice without executing anything: the
-  // safety pass already classified the query form, so the CSL path is taken
-  // exactly when it recognized a strongly linear shape.
-  if (TriesStronglyLinear(options.strategy) &&
-      analysis->safety.form != analysis::QueryForm::kNotStronglyLinear) {
+  // Mirror SolveProgram's strategy choice without executing anything.
+  if (WalksLadder(options.strategy, *analysis)) {
     std::string note;
     std::vector<std::string> ids = LadderMethodIds(options, *analysis, &note);
-    if (!ids.empty()) {
-      const std::string& chosen = ids.front();
-      if (chosen == "counting") {
-        report.kind = PlanKind::kCounting;
-      } else if (chosen == "magic_sets") {
-        report.kind = PlanKind::kMagicSets;
-      } else {
-        report.kind = PlanKind::kMagicCounting;
-      }
-      report.predicted_reads = PredictedFor(analysis->cost, chosen);
-      report.description =
-          "explain: would run " + chosen + " over " +
-          analysis->safety.signature + note + "; ladder: " +
-          Join(ids, " -> ");
-      for (const std::string& id : ids) {
-        PlanAttempt attempt;
-        attempt.method = id;
-        attempt.predicted_reads = PredictedFor(analysis->cost, id);
-        report.attempts.push_back(std::move(attempt));
-      }
-      return report;
+    const std::string& chosen = ids.front();  // never empty
+    if (chosen == "counting") {
+      report.kind = PlanKind::kCounting;
+    } else if (chosen == "magic_sets") {
+      report.kind = PlanKind::kMagicSets;
+    } else {
+      report.kind = PlanKind::kMagicCounting;
     }
+    report.predicted_reads = PredictedFor(analysis->cost, chosen);
+    report.description = "explain: would run " + chosen + " over " +
+                         analysis->safety.signature + note + "; ladder: " +
+                         Join(ids, " -> ");
+    for (const std::string& id : ids) {
+      PlanAttempt attempt;
+      attempt.method = id;
+      attempt.predicted_reads = PredictedFor(analysis->cost, id);
+      report.attempts.push_back(std::move(attempt));
+    }
+    return report;
   }
 
   if (TriesMagicRewrite(options.strategy, query.goal)) {

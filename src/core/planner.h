@@ -5,22 +5,26 @@
 //  0. The static analyzer (analysis::Analyze) runs once over the program:
 //     validation errors abort planning, and its counting-safety verdict
 //     table gates the strategies below.
-//  1. If rewrite::RecognizeQuery (the recognizer the safety pass uses too)
-//     finds a strongly linear form — canonical CSL with L, E, R stored or
-//     *derived* in lower, non-recursive strata, conjunctive L/E/R (the
-//     generalization Section 1 of the paper mentions), or reverse-bound
-//     P(X, b) — the support strata are materialized first and the query is
-//     answered by walking the method ladder that PlannerOptions::strategy
-//     selects (by default from multiple / integrated, the best safe
-//     all-rounder of the family).
+//  1. If the analyzer recognized a strongly linear form
+//     (AnalysisResult::recognized, which the safety pass reads too) —
+//     canonical CSL with L, E, R stored or *derived* in lower,
+//     non-recursive strata, conjunctive L/E/R (the generalization Section 1
+//     of the paper mentions), or reverse-bound P(X, b) — the support strata
+//     and any composed L/E/R are materialized first (a failure there is
+//     returned) and the query is answered by walking the method ladder that
+//     PlannerOptions::strategy selects (by default from multiple /
+//     integrated, the best safe all-rounder of the family). ExplainProgram
+//     reports this path under the same test.
 //  2. Otherwise, if the query has at least one bound argument, the
 //     generalized magic set rewriting is applied and the rewritten program
 //     evaluated.
 //  3. Otherwise the program is evaluated bottom-up as-is.
 //
 // Runtime safety net: every execution is governed (deadline, cancellation,
-// iteration/tuple/memory caps from RunOptions; plain counting alone gets
-// an automatic n_L round cap, see RunOptions::max_iterations), and on the
+// iteration/tuple/memory caps from RunOptions through GovernedEvalOptions,
+// under the one default round-cap policy of RunOptions::max_iterations:
+// n_L rounds for plain counting, none for the other CSL rungs,
+// kProgramRoundCap for the program's own rules), and on the
 // strongly linear path a dynamic abort triggers retry-with-degradation
 // down the paper's Figure 3 hierarchy — counting, then the magic counting
 // variants, then plain magic sets (always safe). Each try is recorded in

@@ -32,26 +32,6 @@ void CslSolver::DropWorkingRelations() {
 
 namespace {
 
-/// Resolve the engine options for one governed run: caps, memory budget,
-/// and the execution context (an explicit one wins; otherwise a fresh
-/// deadline from timeout_ms is stored in `local_ctx`, which the caller must
-/// keep alive for the run).
-eval::EvalOptions GovernedEvalOptions(const RunOptions& options,
-                                      runtime::ExecutionContext* local_ctx) {
-  eval::EvalOptions eopts;
-  eopts.max_iterations = options.max_iterations;
-  eopts.max_tuples = options.max_tuples;
-  eopts.max_memory_bytes = options.max_memory_bytes;
-  eopts.assume_validated = options.assume_validated;
-  if (options.context != nullptr) {
-    eopts.context = options.context;
-  } else if (options.timeout_ms > 0) {
-    *local_ctx = runtime::ExecutionContext::WithTimeout(options.timeout_ms);
-    eopts.context = local_ctx;
-  }
-  return eopts;
-}
-
 std::vector<Value> ExtractAnswers(const std::vector<Tuple>& tuples,
                                   uint32_t col) {
   std::vector<Value> out;
@@ -72,7 +52,8 @@ Result<MethodRun> CslSolver::RunProgramMethod(const std::string& name,
   run.method = name;
 
   runtime::ExecutionContext local_ctx;
-  eval::EvalOptions eopts = GovernedEvalOptions(options, &local_ctx);
+  eval::EvalOptions eopts =
+      GovernedEvalOptions(options, /*default_cap=*/0, &local_ctx);
 
   AccessStats before = db_->stats();
   Timer timer;
@@ -140,7 +121,8 @@ Result<MethodRun> CslSolver::RunMagicCounting(McVariant variant, McMode mode,
                             : rewrite::IntegratedMcProgram(csl_, names_);
 
   runtime::ExecutionContext local_ctx;
-  eval::EvalOptions eopts = GovernedEvalOptions(options, &local_ctx);
+  eval::EvalOptions eopts =
+      GovernedEvalOptions(options, /*default_cap=*/0, &local_ctx);
   eval::Engine engine(db_, eopts);
   Status st = engine.Run(program);
   double seconds = timer.ElapsedSeconds();

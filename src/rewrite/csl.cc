@@ -11,18 +11,6 @@ std::string CslQuery::ToString() const {
          " a=" + source.ToString() + "}";
 }
 
-Result<CslQuery> RecognizeCsl(const dl::Program& program) {
-  MCM_ASSIGN_OR_RETURN(StronglyLinearQuery slq,
-                       RecognizeStronglyLinear(program));
-  std::optional<CslQuery> csl = slq.Canonical();
-  if (!csl.has_value()) {
-    return Status::Unsupported(
-        "L, E and R must each be one binary atom in canonical order: " +
-        slq.ToString());
-  }
-  return std::move(*csl);
-}
-
 Value ResolveSource(const CslQuery& q, Database* db) {
   if (q.source.kind == dl::Term::Kind::kInt) return q.source.value;
   return db->symbols().Intern(q.source.name);
@@ -43,13 +31,20 @@ Result<ReverseCsl> RecognizeReverseCsl(const dl::Program& program,
   // the recognized signature.
   dl::Program forward = program;
   forward.queries[0].goal.args = {query.goal.args[1], query.goal.args[0]};
-  MCM_ASSIGN_OR_RETURN(CslQuery fwd, RecognizeCsl(forward));
+  MCM_ASSIGN_OR_RETURN(StronglyLinearQuery slq,
+                       RecognizeStronglyLinear(forward));
+  std::optional<CslQuery> fwd = slq.Canonical();
+  if (!fwd.has_value()) {
+    return Status::Unsupported(
+        "L, E and R must each be one binary atom in canonical order: " +
+        slq.ToString());
+  }
 
   ReverseCsl out;
-  out.original_e = fwd.e;
-  out.csl.p = fwd.p;
-  out.csl.l = fwd.r;  // the R relation propagates the binding now
-  out.csl.r = fwd.l;
+  out.original_e = fwd->e;
+  out.csl.p = fwd->p;
+  out.csl.l = fwd->r;  // the R relation propagates the binding now
+  out.csl.r = fwd->l;
   out.csl.e = swapped_e_name;
   out.csl.source = query.goal.args[1];
   out.csl.answer_var = query.goal.args[0].name;

@@ -8,8 +8,9 @@
 // variables ([SZ1] calls these canonical strongly linear). A rule where two
 // of them coincide, such as L(X, X1), P(X1, X1), R(Y, X1), is a different
 // query. The shape rules live in RecognizeStronglyLinear
-// (strongly_linear.h); the canonical form is its all-atom case, where L, E
-// and R are each one binary atom in canonical argument order.
+// (strongly_linear.h); the canonical form is its all-atom case
+// (StronglyLinearQuery::Canonical()), where L, E and R are each one binary
+// atom in canonical argument order.
 #pragma once
 
 #include "datalog/ast.h"
@@ -31,12 +32,6 @@ struct CslQuery {
   std::string ToString() const;
 };
 
-/// Recognize the CSL form in `program` (which must contain exactly the exit
-/// rule, the recursive rule and one query with a bound first argument and a
-/// free second argument): RecognizeStronglyLinear, kept only when
-/// StronglyLinearQuery::Canonical() holds. Returns Unsupported otherwise.
-[[nodiscard]] Result<CslQuery> RecognizeCsl(const dl::Program& program);
-
 /// A recognized reverse-bound CSL query (see RecognizeReverseCsl).
 struct ReverseCsl {
   CslQuery csl;           ///< mirrored forward query (l = R, r = L,
@@ -45,7 +40,9 @@ struct ReverseCsl {
 };
 
 /// Recognize the *reverse-bound* CSL form: the same rule pair but queried
-/// as P(X, b)? (binding enters through the second argument). The query is
+/// as P(X, b)? (binding enters through the second argument), whose mirrored
+/// forward query RecognizeStronglyLinear accepts in its all-atom case
+/// (StronglyLinearQuery::Canonical()). The query is
 /// equivalent to the forward-bound query over the mirrored signature
 ///   P~(Y, X) :- E~(Y, X).   P~(Y, X) :- R(Y, Y1), P~(Y1, X1), L(X, X1).
 /// i.e. L' = R, R' = L, E' = E with swapped columns; the caller

@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "rewrite/strongly_linear.h"
 
 namespace mcm::rewrite {
 namespace {
 
+/// The canonical CslQuery: RecognizeStronglyLinear's all-atom case.
 Result<CslQuery> Recognize(const std::string& src) {
   auto prog = dl::Parse(src);
   EXPECT_TRUE(prog.ok()) << prog.status().ToString();
-  return RecognizeCsl(*prog);
+  MCM_ASSIGN_OR_RETURN(StronglyLinearQuery slq,
+                       RecognizeStronglyLinear(*prog));
+  std::optional<CslQuery> csl = slq.Canonical();
+  if (!csl.has_value()) return Status::Unsupported(slq.ToString());
+  return std::move(*csl);
 }
 
 TEST(RecognizeCsl, CanonicalForm) {
