@@ -1,7 +1,10 @@
 #include "analysis/analyzer.h"
 
+#include <set>
+
 #include "datalog/validate.h"
 #include "rewrite/adornment.h"
+#include "util/string_util.h"
 
 namespace mcm::analysis {
 
@@ -12,19 +15,25 @@ namespace {
 /// Pass 3: adornment / binding-pattern feasibility for each query goal.
 ///
 /// Flags goals whose binding pattern cannot restrict anything (all-free)
-/// and goals for which the standard left-to-right sideways information
-/// passing fails to produce an adorned program (the magic rewriting would
-/// then be unavailable and the planner falls back to bottom-up).
-void AnalyzeBindings(const dl::Program& program, const DependencyInfo& deps,
-                     dl::DiagnosticBag* bag) {
+/// and goals for which the generalized magic set rewriting under the
+/// standard left-to-right sideways information passing fails (adornment
+/// fails, or the rewritten program is invalid): the planner then falls
+/// back to bottom-up. Returns the rewriting of the program's goal when the
+/// program has exactly one query and the rewriting succeeded.
+std::optional<rewrite::MagicProgram> AnalyzeBindings(
+    const dl::Program& program, const DependencyInfo& deps,
+    dl::DiagnosticBag* bag) {
+  std::optional<rewrite::MagicProgram> single;
   for (const dl::Query& q : program.queries) {
     rewrite::Pattern pattern = rewrite::GoalPattern(q.goal);
-    bool has_bound = pattern.find('b') != rewrite::Pattern::npos;
-    if (!has_bound && !pattern.empty()) {
-      bag->Add(DiagCode::kUnboundQuery, q.span(),
-               "query goal '" + q.goal.ToString() +
-                   "' has no bound argument: bindings cannot restrict the "
-                   "computation (magic rewriting degenerates to bottom-up)");
+    if (pattern.find('b') == rewrite::Pattern::npos) {
+      if (!pattern.empty()) {
+        bag->Add(DiagCode::kUnboundQuery, q.span(),
+                 "query goal '" + q.goal.ToString() +
+                     "' has no bound argument: bindings cannot restrict the "
+                     "computation (magic rewriting degenerates to "
+                     "bottom-up)");
+      }
       continue;
     }
 
@@ -35,23 +44,30 @@ void AnalyzeBindings(const dl::Program& program, const DependencyInfo& deps,
         id != graph::kInvalidNode && id < deps.is_idb.size() && deps.is_idb[id];
     if (!is_idb) continue;
 
-    auto adorned = rewrite::Adorn(program, q.goal);
-    if (!adorned.ok()) {
+    Result<rewrite::MagicProgram> magic = rewrite::MagicRewrite(program, q.goal);
+    if (!magic.ok()) {
       bag->Add(DiagCode::kAdornmentFailed, q.span(),
                "binding pattern '" + pattern + "' cannot be propagated: " +
-                   adorned.status().message());
+                   magic.status().message());
       continue;
     }
-    size_t versions = 0;
-    for (const auto& [pred, arity] : adorned->program.PredicateArities()) {
-      (void)arity;
-      if (pred.find("__") != std::string::npos) ++versions;
+    // Adorned versions head the modified rules; magic predicates head the
+    // rest.
+    std::set<std::string> versions;
+    for (const dl::Rule& r : magic->program.rules) {
+      const std::string& head = r.head.predicate;
+      if (head.find("__") != std::string::npos &&
+          !StartsWith(head, rewrite::MagicOptions{}.magic_prefix)) {
+        versions.insert(head);
+      }
     }
     bag->Add(DiagCode::kBindingSummary, q.span(),
              "binding pattern '" + pattern + "' on '" + q.goal.predicate +
-                 "' propagates to " + std::to_string(versions) +
+                 "' propagates to " + std::to_string(versions.size()) +
                  " adorned predicate version(s)");
+    if (program.queries.size() == 1) single = std::move(*magic);
   }
+  return single;
 }
 
 }  // namespace
@@ -62,7 +78,7 @@ AnalysisResult Analyze(const dl::Program& program,
 
   dl::ValidateInto(program, &result.diagnostics);
   result.deps = AnalyzeDependencies(program, options.db, &result.diagnostics);
-  AnalyzeBindings(program, result.deps, &result.diagnostics);
+  result.magic = AnalyzeBindings(program, result.deps, &result.diagnostics);
   if (Result<rewrite::RecognizedQuery> recognized =
           rewrite::RecognizeQuery(program);
       recognized.ok()) {

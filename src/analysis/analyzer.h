@@ -5,8 +5,10 @@
 //                         affine violation in the program (dl::ValidateInto),
 //   2. dependency graph — IDB/EDB split, undefined / unused / unreachable
 //                         predicates, negation-through-recursion,
-//   3. binding analysis — adornment feasibility of the query's binding
-//                         pattern under the left-to-right SIPS,
+//   3. binding analysis — the generalized magic set rewriting of the
+//                         query's binding pattern under the left-to-right
+//                         SIPS, kept on AnalysisResult::magic when it
+//                         succeeds,
 //   4. counting safety  — query-form classification (CSL and friends),
 //                         magic-graph skeleton from EDB statistics, and the
 //                         per-method safe/unsafe verdict table of
@@ -32,6 +34,7 @@
 #include "analysis/safety.h"
 #include "datalog/ast.h"
 #include "datalog/diagnostic.h"
+#include "rewrite/magic.h"
 #include "rewrite/strongly_linear.h"
 #include "storage/database.h"
 #include "util/status.h"
@@ -58,6 +61,11 @@ struct AnalysisResult {
   /// The safety pass reads it, and the planner walks the method ladder
   /// exactly when it is set (and the strategy tries the ladder).
   std::optional<rewrite::RecognizedQuery> recognized;
+  /// The generalized magic set rewriting of the single query's goal; nullopt
+  /// when the goal has no bound argument, is not derived, or the rewriting
+  /// fails (W301). The planner runs it exactly when it is set (and the
+  /// strongly linear path is not taken).
+  std::optional<rewrite::MagicProgram> magic;
   CountingSafetyReport safety;
   CostReport cost;
 

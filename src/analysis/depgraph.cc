@@ -93,15 +93,25 @@ DependencyInfo AnalyzeDependencies(const dl::Program& program,
     remember(q.goal, false);
   }
 
-  // W201: body predicates that nothing defines. Without a database we
-  // assume they are EDB relations the caller will load (reported once as a
-  // note, so lint runs without fact files stay quiet).
+  // E101: a stored relation the program uses at another arity, which no
+  // evaluation path could read. W201: body predicates that nothing
+  // defines. Without a database we assume they are EDB relations the
+  // caller will load (reported once as a note, so lint runs without fact
+  // files stay quiet).
   std::vector<std::string> assumed_edb;
   for (NodeId u = 0; u < info.predicates.size(); ++u) {
-    if (info.is_idb[u]) continue;
     const std::string& name = info.predicates[u];
+    const Relation* stored = db != nullptr ? db->Find(name) : nullptr;
+    if (stored != nullptr && stored->arity() != info.arities[u]) {
+      bag->Add(DiagCode::kArityConflict, first_seen[name].span,
+               "relation '" + name + "' is stored with arity " +
+                   std::to_string(stored->arity()) +
+                   ", the program uses it with arity " +
+                   std::to_string(info.arities[u]));
+    }
+    if (info.is_idb[u]) continue;
     if (db != nullptr) {
-      if (db->Find(name) == nullptr) {
+      if (stored == nullptr) {
         bag->Add(DiagCode::kUndefinedPredicate, first_seen[name].span,
                  "predicate '" + name +
                      "' has no rules, no facts, and no stored relation");

@@ -4,6 +4,8 @@
 // each rule head to every predicate in that rule's body, then derives:
 //   * IDB/EDB classification (a predicate is IDB iff some rule or in-program
 //     fact defines it),
+//   * E101 errors for a stored relation (when a Database is supplied) that
+//     the program uses with another arity,
 //   * W201 undefined-predicate warnings (body predicate with no rules, no
 //     in-program facts, and no stored relation when a Database is supplied),
 //   * W202 unused / W203 unreachable warnings relative to the program's
@@ -41,9 +43,10 @@ struct DependencyInfo {
   std::string ToString() const;
 };
 
-/// Build the dependency info for `program` and append shape warnings to
+/// Build the dependency info for `program` and append shape diagnostics to
 /// `bag`. `db` may be null; when present, its relation names count as
-/// defined EDB predicates for the W201 check.
+/// defined EDB predicates for the W201 check, and its arities are checked
+/// against the program's (E101).
 DependencyInfo AnalyzeDependencies(const dl::Program& program,
                                    const Database* db, dl::DiagnosticBag* bag);
 

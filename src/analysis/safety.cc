@@ -1,7 +1,6 @@
 #include "analysis/safety.h"
 
 #include <algorithm>
-#include <variant>
 
 namespace mcm::analysis {
 
@@ -243,51 +242,30 @@ CountingSafetyReport AnalyzeCountingSafety(
   if (!recognized.has_value()) return report;  // outside the paper's class
   const dl::Query& query = program.queries[0];
 
+  // The L/E/R names are the single atoms' relations; a conjunction exists
+  // only after materialization. A mirrored query's L is the original R.
+  const rewrite::StronglyLinearQuery& q = recognized->query;
+  report.form = q.reverse      ? QueryForm::kReverseBound
+                : q.AllAtoms() ? QueryForm::kCanonical
+                               : QueryForm::kComposed;
+  report.signature = q.ToString();
   std::string unknown_reason;
-  dl::Term constant;
-  if (const auto* csl = std::get_if<rewrite::CslQuery>(&recognized->form)) {
-    report.form = QueryForm::kCanonical;
-    report.signature = csl->ToString();
-    report.l_predicate = csl->l;
-    report.e_predicate = csl->e;
-    report.r_predicate = csl->r;
-    constant = csl->source;
-  } else if (const auto* slq = std::get_if<rewrite::StronglyLinearQuery>(
-                 &recognized->form)) {
-    report.form = QueryForm::kComposed;
-    report.signature = slq->ToString();
-    constant = slq->source;
-    if (slq->prefix_is_atom) {
-      report.l_predicate = slq->prefix[0].atom.predicate;
-    } else {
-      unknown_reason =
-          "the L-part is a conjunction; its graph exists only after "
-          "materialization";
-    }
-    if (slq->exit_is_atom) {
-      report.e_predicate = slq->exit_body[0].atom.predicate;
-    }
-    if (slq->suffix_is_atom) {
-      report.r_predicate = slq->suffix[0].atom.predicate;
-    }
+  if (q.prefix_is_atom) {
+    report.l_predicate = q.prefix[0].atom.predicate;
   } else {
-    const auto& rev = std::get<rewrite::ReverseCsl>(recognized->form);
-    report.form = QueryForm::kReverseBound;
-    report.signature = rev.csl.ToString();
-    // The mirrored query's magic graph is the graph of the original R.
-    report.l_predicate = rev.csl.l;
-    // The mirrored E ("mcm_eswap") only exists after materialization,
-    // so leave e_predicate empty; the mirrored R is the original L.
-    report.r_predicate = rev.csl.r;
-    constant = rev.csl.source;
+    unknown_reason =
+        "the L-part is a conjunction; its graph exists only after "
+        "materialization";
   }
+  if (q.exit_is_atom) report.e_predicate = q.exit_body[0].atom.predicate;
+  if (q.suffix_is_atom) report.r_predicate = q.suffix[0].atom.predicate;
 
   bag->Add(DiagCode::kQueryClassCsl, query.span(),
            "query is " + std::string(QueryFormToString(report.form)) + ": " +
                report.signature);
 
   if (!report.l_predicate.empty()) {
-    BuildMagicGraph(program, report, constant, db, facts);
+    BuildMagicGraph(program, report, q.source, db, facts);
     if (facts->l == nullptr) {
       unknown_reason =
           "no facts or stored relation for '" + report.l_predicate + "'";

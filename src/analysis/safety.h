@@ -62,9 +62,9 @@ struct CountingSafetyReport {
   QueryForm form = QueryForm::kNotStronglyLinear;
   std::string signature;  ///< CSL signature when recognized ("p over l/e/r")
   std::string l_predicate;  ///< relation whose graph is the magic graph
-  /// E/R relation names when they are plain stored atoms; empty when the
-  /// component is a conjunction (it exists only after materialization) or,
-  /// for reverse-bound queries, when the mirrored E is not materialized yet.
+  /// E/R relation names when they are single atoms; empty when the
+  /// component is a composition (a conjunction, or the column swap of a
+  /// reverse-bound query's E), which exists only after materialization.
   std::string e_predicate;
   std::string r_predicate;
 

@@ -4,12 +4,9 @@
 #include <functional>
 #include <string_view>
 #include <utility>
-#include <variant>
 
 #include "core/solver.h"
-#include "datalog/validate.h"
 #include "eval/engine.h"
-#include "rewrite/csl.h"
 #include "rewrite/magic.h"
 #include "rewrite/strongly_linear.h"
 #include "util/fault_injection.h"
@@ -198,12 +195,12 @@ bool WalksLadder(Strategy strategy, const analysis::AnalysisResult& analysis) {
          strategy != Strategy::kBottomUp && analysis.recognized.has_value();
 }
 
-/// Whether `strategy` tries the generalized magic rewrite on `goal`: only
-/// a goal with a bound argument has a binding to propagate.
-bool TriesMagicRewrite(Strategy strategy, const dl::Atom& goal) {
-  return strategy != Strategy::kBottomUp &&
-         std::any_of(goal.args.begin(), goal.args.end(),
-                     [](const dl::Term& t) { return t.IsConstant(); });
+/// Whether the plan runs the generalized magic rewrite (when it does not
+/// walk the ladder): the strategy tries it and the analysis's binding pass
+/// produced it. SolveProgram and ExplainProgram both decide with this test.
+bool RunsMagicRewrite(Strategy strategy,
+                      const analysis::AnalysisResult& analysis) {
+  return strategy != Strategy::kBottomUp && analysis.magic.has_value();
 }
 
 /// The analysis a plan starts from: `options.analysis` when set, else one
@@ -268,35 +265,16 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
       eval::Engine engine(db, eopts);
       MCM_RETURN_NOT_OK(engine.Run(support));
     }
+    const rewrite::StronglyLinearQuery& slq = recognized.query;
+    MCM_ASSIGN_OR_RETURN(rewrite::CslQuery csl,
+                         rewrite::MaterializeStronglyLinear(db, slq, governed));
     // A predicate with neither facts nor a stored relation denotes the
-    // empty relation. One stored with another arity is left for the solver
-    // to reject.
-    auto create_if_missing = [db](const std::string& name) {
-      if (db->Find(name) == nullptr) db->GetOrCreateRelation(name, 2);
-    };
-    rewrite::CslQuery csl;
-    std::string how;
-    if (const auto* canonical =
-            std::get_if<rewrite::CslQuery>(&recognized.form)) {
-      csl = *canonical;
-    } else if (const auto* slq = std::get_if<rewrite::StronglyLinearQuery>(
-                   &recognized.form)) {
-      MCM_ASSIGN_OR_RETURN(
-          csl, rewrite::MaterializeStronglyLinear(db, *slq, governed));
-      how = " via composed L/E/R (" + slq->ToString() + ")";
-    } else {
-      // Reverse-bound query P(X, b): run the mirrored forward query
-      // over (L'=R, E'=E swapped, R'=L).
-      const auto& rev = std::get<rewrite::ReverseCsl>(recognized.form);
-      create_if_missing(rev.original_e);
-      MCM_RETURN_NOT_OK(
-          rewrite::MaterializeSwappedE(db, rev.original_e, rev.csl.e));
-      csl = rev.csl;
-      how = " via reverse binding (mirrored query)";
-    }
+    // empty relation.
     for (const std::string* name : {&csl.l, &csl.e, &csl.r}) {
-      create_if_missing(*name);
+      if (db->Find(*name) == nullptr) db->GetOrCreateRelation(*name, 2);
     }
+    std::string how =
+        slq.AllAtoms() ? "" : " via composed L/E/R (" + slq.ToString() + ")";
     Value a = rewrite::ResolveSource(csl, db);
     CslSolver solver(db, csl.l, csl.e, csl.r, a);
 
@@ -388,8 +366,10 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
               "; degradation ladder: " + AttemptLogSummary(attempts);
         }
         report.detected_class = run->detected_class;
+        // Whole goal tuples, as on the other paths: (a, v) for P(a, Y)?,
+        // (v, b) for P(X, b)?.
         for (Value v : run->answers) {
-          report.results.push_back(Tuple{v});
+          report.results.push_back(slq.reverse ? Tuple{v, a} : Tuple{a, v});
         }
         return finish_report(std::move(report));
       }
@@ -403,39 +383,34 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
   }
 
   // --- Path 2: generalized magic sets when the goal carries bindings. ---
-  if (TriesMagicRewrite(options.strategy, query.goal)) {
-    auto magic = rewrite::MagicRewrite(program, query.goal);
-    if (magic.ok()) {
-      MCM_RETURN_NOT_OK(
-          util::FaultInjection::Instance().Check("planner/magic_rewrite"));
-      // Note: the rewritten program is *not* the analyzed one (magic
-      // predicates violate the head-boundedness checks by design), so it is
-      // validated by the engine as usual.
-      eval::EvalOptions eopts = governed;
-      eopts.assume_validated = false;
-      eval::Engine engine(db, eopts);
-      Timer attempt_timer;
-      Status st = engine.Run(magic->program);
-      attempts.push_back(PlanAttempt{"magic_rewrite", st,
-                                     runtime::ClassifyAbort(st),
-                                     attempt_timer.ElapsedSeconds()});
-      if (st.ok()) {
-        MCM_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                             engine.Query(magic->adorned_goal));
-        PlanReport report;
-        report.kind = PlanKind::kMagicSets;
-        report.description = "generalized magic sets (goal pattern drives " +
-                             magic->adorned_goal.predicate + ")";
-        report.results = std::move(tuples);
-        return finish_report(std::move(report));
-      }
-      // The governor's deadline/cancellation is global to this plan, so a
-      // retry cannot succeed — propagate. Other failures (non-stratifiable
-      // or unsafe rewritten program, cap trips) fall through to bottom-up.
-      if (st.IsCancelled() || st.IsDeadlineExceeded() ||
-          !options.allow_fallback) {
-        return WithAttemptLog(st, attempts);
-      }
+  if (RunsMagicRewrite(options.strategy, *analysis)) {
+    const rewrite::MagicProgram& magic = *analysis->magic;
+    MCM_RETURN_NOT_OK(
+        util::FaultInjection::Instance().Check("planner/magic_rewrite"));
+    eval::EvalOptions eopts = governed;
+    eopts.assume_validated = true;  // MagicRewrite validated its output
+    eval::Engine engine(db, eopts);
+    Timer attempt_timer;
+    Status st = engine.Run(magic.program);
+    attempts.push_back(PlanAttempt{"magic_rewrite", st,
+                                   runtime::ClassifyAbort(st),
+                                   attempt_timer.ElapsedSeconds()});
+    if (st.ok()) {
+      MCM_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                           engine.Query(magic.adorned_goal));
+      PlanReport report;
+      report.kind = PlanKind::kMagicSets;
+      report.description = "generalized magic sets (goal pattern drives " +
+                           magic.adorned_goal.predicate + ")";
+      report.results = std::move(tuples);
+      return finish_report(std::move(report));
+    }
+    // The governor's deadline/cancellation is global to this plan, so a
+    // retry cannot succeed — propagate. Other failures (a non-stratifiable
+    // rewritten program, cap trips) fall through to bottom-up.
+    if (st.IsCancelled() || st.IsDeadlineExceeded() ||
+        !options.allow_fallback) {
+      return WithAttemptLog(st, attempts);
     }
   }
 
@@ -465,7 +440,6 @@ Result<PlanReport> ExplainProgram(const Database* db,
   MCM_ASSIGN_OR_RETURN(
       const analysis::AnalysisResult* analysis,
       PlanningAnalysis(db, program, options, &local_analysis));
-  const dl::Query& query = program.queries[0];
 
   PlanReport report;
   report.diagnostics = analysis->diagnostics.diagnostics();
@@ -497,11 +471,11 @@ Result<PlanReport> ExplainProgram(const Database* db,
     return report;
   }
 
-  if (TriesMagicRewrite(options.strategy, query.goal)) {
+  if (RunsMagicRewrite(options.strategy, *analysis)) {
     report.kind = PlanKind::kMagicSets;
     report.description =
         "explain: would run generalized magic sets (goal pattern drives " +
-        query.goal.predicate + ")";
+        analysis->magic->adorned_goal.predicate + ")";
     return report;
   }
   report.kind = PlanKind::kBottomUp;

@@ -7,18 +7,20 @@
 //     table gates the strategies below.
 //  1. If the analyzer recognized a strongly linear form
 //     (AnalysisResult::recognized, which the safety pass reads too) —
-//     canonical CSL with L, E, R stored or *derived* in lower,
-//     non-recursive strata, conjunctive L/E/R (the generalization Section 1
-//     of the paper mentions), or reverse-bound P(X, b) — the support strata
-//     and any composed L/E/R are materialized first (a failure there is
-//     returned) and the query is answered by walking the method ladder that
+//     L, E, R stored or *derived* in lower, non-recursive strata, or
+//     conjunctions (the generalization Section 1 of the paper mentions),
+//     under P(a, Y)? or the mirrored P(X, b)? — the support strata and any
+//     composed L/E/R are materialized first (a failure there is returned)
+//     and the query is answered by walking the method ladder that
 //     PlannerOptions::strategy selects (by default from multiple /
 //     integrated, the best safe all-rounder of the family). ExplainProgram
 //     reports this path under the same test.
-//  2. Otherwise, if the query has at least one bound argument, the
-//     generalized magic set rewriting is applied and the rewritten program
-//     evaluated.
+//  2. Otherwise, if the analyzer's binding pass produced the generalized
+//     magic set rewriting of the query (AnalysisResult::magic: a bound
+//     argument, an IDB goal and a valid rewritten program), the rewritten
+//     program is evaluated.
 //  3. Otherwise the program is evaluated bottom-up as-is.
+// Every path returns whole goal tuples in PlanReport::results.
 //
 // Runtime safety net: every execution is governed (deadline, cancellation,
 // iteration/tuple/memory caps from RunOptions through GovernedEvalOptions,

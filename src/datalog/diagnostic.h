@@ -31,6 +31,7 @@ std::string_view SeverityToString(Severity s);
 enum class DiagCode : int {
   // --- validation (errors) -------------------------------------------
   kArityConflict = 101,       ///< predicate used with two different arities
+                              ///< or at another arity than it is stored
   kArityExceedsMax = 102,     ///< arity beyond kMaxTupleArity
   kNonGroundFact = 103,       ///< fact with a variable argument
   kUnboundHeadVar = 104,      ///< head variable not positively bound (range

@@ -2,6 +2,8 @@
 
 #include <unordered_set>
 
+#include "datalog/validate.h"
+
 namespace mcm::rewrite {
 
 namespace {
@@ -110,6 +112,12 @@ Result<MagicProgram> MagicRewrite(const dl::Program& program,
   }
 
   out.program.queries.push_back(dl::Query{out.adorned_goal});
+  // An affine head such as n(X+1) :- n(X) turns into the magic rule
+  // magic_n__b(X) :- magic_n__b(X+1), whose head is unbound.
+  if (Status valid = dl::Validate(out.program); !valid.ok()) {
+    return Status::Unsupported("the rewritten program is invalid: " +
+                               valid.message());
+  }
   return out;
 }
 

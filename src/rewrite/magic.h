@@ -36,9 +36,11 @@ struct MagicProgram {
 /// Apply the generalized magic set transformation for `goal` over
 /// `program`. The rewritten program computes the same answers to the goal
 /// as the original, touching only facts relevant to the goal's bound
-/// arguments. Programs whose rewriting would need supplementary predicates
-/// to stay stratified are still emitted; the engine's stratification check
-/// is the final arbiter.
+/// arguments, and passes dl::Validate: a rewriting that does not (an
+/// affine recursive head yields a magic rule with an unbound head) is
+/// Unsupported. Programs whose rewriting would need supplementary
+/// predicates to stay stratified are still emitted; the engine's
+/// stratification check is the final arbiter.
 [[nodiscard]] Result<MagicProgram> MagicRewrite(
     const dl::Program& program, const dl::Atom& goal,
     const MagicOptions& options = {});

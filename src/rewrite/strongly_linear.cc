@@ -39,23 +39,16 @@ bool IsCanonicalAtom(const std::vector<dl::Literal>& lits,
 
 }  // namespace
 
-std::optional<CslQuery> StronglyLinearQuery::Canonical() const {
-  if (!prefix_is_atom || !suffix_is_atom || !exit_is_atom) return std::nullopt;
-  CslQuery csl;
-  csl.p = p;
-  csl.e = exit_body[0].atom.predicate;
-  csl.l = prefix[0].atom.predicate;
-  csl.r = suffix[0].atom.predicate;
-  csl.source = source;
-  csl.answer_var = answer_var;
-  return csl;
-}
-
 std::string StronglyLinearQuery::ToString() const {
+  std::string constant = (reverse ? " b=" : " a=") + source.ToString() + "}";
+  if (AllAtoms()) {
+    return "CSL{P=" + p + " E=" + exit_body[0].atom.predicate +
+           " L=" + prefix[0].atom.predicate +
+           " R=" + suffix[0].atom.predicate + constant;
+  }
   return "SL{P=" + p + " |prefix|=" + std::to_string(prefix.size()) +
          " |suffix|=" + std::to_string(suffix.size()) +
-         " |exit|=" + std::to_string(exit_body.size()) +
-         " a=" + source.ToString() + "}";
+         " |exit|=" + std::to_string(exit_body.size()) + constant;
 }
 
 Result<StronglyLinearQuery> RecognizeStronglyLinear(
@@ -63,16 +56,24 @@ Result<StronglyLinearQuery> RecognizeStronglyLinear(
   if (program.queries.size() != 1) {
     return Status::Unsupported("expected exactly one query");
   }
-  const dl::Query& query = program.queries[0];
-  if (query.goal.arity() != 2 || !query.goal.args[0].IsConstant() ||
-      !query.goal.args[1].IsVariable()) {
-    return Status::Unsupported("goal must be P(a, Y)");
+  const dl::Atom& goal = program.queries[0].goal;
+  auto bound_at = [&goal](size_t i) {
+    return goal.arity() == 2 && goal.args[i].IsConstant() &&
+           goal.args[1 - i].IsVariable();
+  };
+  if (!bound_at(0) && !bound_at(1)) {
+    return Status::Unsupported("goal must be P(a, Y) or P(X, b)");
   }
 
+  // Every binary P atom is read from its bound column `b` to its free
+  // column `f`: as written for P(a, Y)?, mirrored for P(X, b)?.
   StronglyLinearQuery out;
-  out.p = query.goal.predicate;
-  out.source = query.goal.args[0];
-  out.answer_var = query.goal.args[1].name;
+  out.reverse = bound_at(1);
+  const size_t b = out.reverse ? 1 : 0;
+  const size_t f = 1 - b;
+  out.p = goal.predicate;
+  out.source = goal.args[b];
+  out.answer_var = goal.args[f].name;
 
   const dl::Rule* exit_rule = nullptr;
   const dl::Rule* rec_rule = nullptr;
@@ -106,15 +107,15 @@ Result<StronglyLinearQuery> RecognizeStronglyLinear(
 
   // Heads: P(X, Y) with distinct variables, shared by both rules (after
   // renaming we simply require each rule's own head variables).
-  auto head_vars = [](const dl::Rule& r,
-                      std::string* hx, std::string* hy) -> bool {
+  auto head_vars = [b, f](const dl::Rule& r,
+                          std::string* hx, std::string* hy) -> bool {
     if (r.head.arity() != 2 || !r.head.args[0].IsVariable() ||
         !r.head.args[1].IsVariable() ||
         r.head.args[0].name == r.head.args[1].name) {
       return false;
     }
-    *hx = r.head.args[0].name;
-    *hy = r.head.args[1].name;
+    *hx = r.head.args[b].name;
+    *hy = r.head.args[f].name;
     return true;
   };
   if (!head_vars(*exit_rule, &out.exit_x, &out.exit_y) ||
@@ -144,8 +145,8 @@ Result<StronglyLinearQuery> RecognizeStronglyLinear(
       !rec_atom->args[0].IsVariable() || !rec_atom->args[1].IsVariable()) {
     return Status::Unsupported("recursive atom must be P(Xr, Yr)");
   }
-  out.xr = rec_atom->args[0].name;
-  out.yr = rec_atom->args[1].name;
+  out.xr = rec_atom->args[b].name;
+  out.yr = rec_atom->args[f].name;
   // X, Y, Xr and Yr must be pairwise distinct. X != Y holds by the head
   // check; Xr = Y or Yr = X joins the two sides and is rejected below.
   if (out.xr == out.x || out.yr == out.y || out.xr == out.yr) {
@@ -250,18 +251,7 @@ Result<RecognizedQuery> RecognizeQuery(const dl::Program& program) {
   }
   goal_part.queries = program.queries;
 
-  // The all-atom case needs nothing materialized; a goal bound only in its
-  // second argument is the mirrored forward query.
-  if (Result<StronglyLinearQuery> slq = RecognizeStronglyLinear(goal_part);
-      slq.ok()) {
-    if (std::optional<CslQuery> csl = slq->Canonical()) {
-      out.form = std::move(*csl);
-    } else {
-      out.form = std::move(*slq);
-    }
-  } else {
-    MCM_ASSIGN_OR_RETURN(out.form, RecognizeReverseCsl(goal_part, "mcm_eswap"));
-  }
+  MCM_ASSIGN_OR_RETURN(out.query, RecognizeStronglyLinear(goal_part));
   return out;
 }
 
@@ -270,47 +260,28 @@ Result<CslQuery> MaterializeStronglyLinear(Database* db,
                                            const eval::EvalOptions& options,
                                            const SlNames& names) {
   dl::Program comp;
+  // One part of the signature: the atom's relation, or a fresh composition
+  // `star(from, to) :- body` (a stale one from an earlier call is cleared).
+  auto part = [db, &comp](const std::vector<dl::Literal>& body, bool is_atom,
+                          const std::string& star, const std::string& from,
+                          const std::string& to) {
+    if (is_atom) return body[0].atom.predicate;
+    if (Relation* stale = db->Find(star)) stale->Clear();
+    comp.rules.push_back(dl::Rule{
+        dl::Atom{star, {dl::Term::Var(from), dl::Term::Var(to)}, dl::Span{}},
+        body});
+    return star;
+  };
   CslQuery csl;
-  csl.p = "mcm_p";
+  csl.p = slq.p;
   csl.source = slq.source;
   csl.answer_var = slq.answer_var;
-
-  if (slq.prefix_is_atom) {
-    csl.l = slq.prefix[0].atom.predicate;
-  } else {
-    csl.l = names.l_star;
-    dl::Rule r;
-    r.head = dl::Atom{names.l_star,
-                      {dl::Term::Var(slq.x), dl::Term::Var(slq.xr)},
-                      dl::Span{}};
-    r.body = slq.prefix;
-    comp.rules.push_back(std::move(r));
-  }
-
-  if (slq.suffix_is_atom) {
-    csl.r = slq.suffix[0].atom.predicate;
-  } else {
-    csl.r = names.r_star;
-    dl::Rule r;
-    r.head = dl::Atom{names.r_star,
-                      {dl::Term::Var(slq.y), dl::Term::Var(slq.yr)},
-                      dl::Span{}};
-    r.body = slq.suffix;
-    comp.rules.push_back(std::move(r));
-  }
-
-  if (slq.exit_is_atom) {
-    csl.e = slq.exit_body[0].atom.predicate;
-  } else {
-    csl.e = names.e_star;
-    dl::Rule r;
-    // The composition keeps the exit rule's own head variables.
-    r.head = dl::Atom{names.e_star,
-                      {dl::Term::Var(slq.exit_x), dl::Term::Var(slq.exit_y)},
-                      dl::Span{}};
-    r.body = slq.exit_body;
-    comp.rules.push_back(std::move(r));
-  }
+  csl.l = part(slq.prefix, slq.prefix_is_atom, names.l_star, slq.x, slq.xr);
+  csl.r = part(slq.suffix, slq.suffix_is_atom, names.r_star, slq.y, slq.yr);
+  // The exit composition keeps the exit rule's own head variables, in the
+  // query's orientation: e*(Y, X) :- E(X, Y) for a mirrored canonical E.
+  csl.e = part(slq.exit_body, slq.exit_is_atom, names.e_star, slq.exit_x,
+               slq.exit_y);
 
   if (!comp.rules.empty()) {
     eval::Engine engine(db, options);

@@ -30,16 +30,20 @@
 // A rule that breaks them, such as L(X, X1), P(X1, X1), R(Y, X1), is not
 // strongly linear and is left to the generalized magic rewrite.
 //
-// RecognizeQuery() splits a program around its query goal, recognizes the
-// strongly linear form once (canonical when all-atom, composed otherwise)
-// and else tries the reverse-bound form. analysis::Analyze calls it once per
-// program and keeps the result on AnalysisResult::recognized, which the
-// safety pass and the planner read.
+// A goal P(X, b)? is the same query over the mirrored rules: with
+// P~(Y, X) = P(X, Y) the goal is P~(b, X)?, R carries the binding, and E's
+// columns swap. The recognizer returns that mirrored form with `reverse`
+// set: the bound side of the head is X, the prefix is the R-part, and the
+// exit rule's head columns are read in swapped order, so a canonical E
+// becomes the composition e*(Y, X) :- E(X, Y).
+//
+// RecognizeQuery() splits a program around its query goal and recognizes
+// the goal rules once. analysis::Analyze calls it once per program and
+// keeps the result on AnalysisResult::recognized, which the safety pass and
+// the planner read.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -50,11 +54,14 @@
 
 namespace mcm::rewrite {
 
-/// \brief A recognized strongly linear query.
+/// \brief A recognized strongly linear query, in the orientation whose
+/// first argument is bound.
 struct StronglyLinearQuery {
   std::string p;
-  dl::Term source;
-  std::string answer_var;
+  dl::Term source;         ///< the goal's constant
+  std::string answer_var;  ///< the goal's free variable
+  /// The goal is P(X, b)?: the fields below describe the mirrored rules.
+  bool reverse = false;
 
   std::string x, y;          ///< head variables of the recursive rule
   std::string xr, yr;        ///< arguments of the recursive body atom
@@ -71,17 +78,20 @@ struct StronglyLinearQuery {
   bool suffix_is_atom = false;
   bool exit_is_atom = false;
 
-  /// The canonical CslQuery over the three atoms' relations when the
-  /// prefix, the suffix and the exit body are each a single atom; nullopt
-  /// when one of them needs materialization.
-  std::optional<CslQuery> Canonical() const;
+  /// Nothing needs materializing; with a forward goal this is canonical CSL.
+  bool AllAtoms() const {
+    return prefix_is_atom && suffix_is_atom && exit_is_atom;
+  }
 
+  /// "CSL{P=p E=e L=l R=r a=1}" when AllAtoms(), else
+  /// "SL{P=p |prefix|=2 |suffix|=1 |exit|=1 a=1}"; a reverse-bound goal's
+  /// constant prints as "b=".
   std::string ToString() const;
 };
 
-/// Recognize the strongly linear form of `program` (rules for one
-/// predicate plus one query with bound first argument). Canonical CSL
-/// queries are its all-atom case.
+/// Recognize the strongly linear form of `program`: rules for one predicate
+/// plus one query with exactly one bound argument. Canonical CSL queries
+/// are its forward all-atom case.
 [[nodiscard]] Result<StronglyLinearQuery> RecognizeStronglyLinear(
     const dl::Program& program);
 
@@ -91,17 +101,13 @@ struct RecognizedQuery {
   /// Rules and facts for every predicate but the goal's. They define any
   /// derived L/E/R, so they run before the query.
   dl::Program support;
-  /// The form that matched: canonical (literal L/E/R), composed
-  /// (conjunctive L/E/R, see MaterializeStronglyLinear) or reverse-bound
-  /// (the mirrored forward query over E swapped into "mcm_eswap").
-  std::variant<CslQuery, StronglyLinearQuery, ReverseCsl> form;
+  StronglyLinearQuery query;
 };
 
 /// Split `program` into its goal predicate's rules and the support rules,
-/// then recognize the goal rules as strongly linear (canonical when
-/// Canonical() holds, composed otherwise), else as reverse-bound CSL.
-/// Unsupported when the program does not have exactly one query, a support
-/// rule depends on the goal predicate, or no form matches.
+/// then recognize the goal rules with RecognizeStronglyLinear. Unsupported
+/// when the program does not have exactly one query, a support rule depends
+/// on the goal predicate, or the goal rules are not strongly linear.
 [[nodiscard]] Result<RecognizedQuery> RecognizeQuery(
     const dl::Program& program);
 
@@ -113,8 +119,10 @@ struct SlNames {
 };
 
 /// Evaluate the composition rules into `db` (skipping compositions that are
-/// single atoms) under `options` and return the equivalent CslQuery
-/// referencing the resulting relation names.
+/// single atoms; a composition relation left by an earlier call is cleared
+/// first) under `options` and return the equivalent CslQuery referencing
+/// the resulting relation names. This is the only way from a recognized
+/// query to the signature the methods run on.
 [[nodiscard]] Result<CslQuery> MaterializeStronglyLinear(
     Database* db, const StronglyLinearQuery& slq,
     const eval::EvalOptions& options = {}, const SlNames& names = {});

@@ -422,6 +422,7 @@ const Case kCases[] = {
      "  mc/recurring/ind  safe    safe on every instance (Proposition 3: Step 1 routes divergent nodes to RM)\n"
      "  mc/recurring/int  safe    safe on every instance (Proposition 3: Step 1 routes divergent nodes to RM)\n"
      "cost model: not computed (no binary facts or stored relation for 'l')\n"
+     "2:12: error: relation 'l' is stored with arity 3, the program uses it with arity 2 [E101]\n"
      "3:1: note: query is canonical strongly linear: CSL{P=p E=e L=l R=r a=1} [N501]\n"
      "3:1: note: counting-safety: relation 'l' is not binary; verdicts for pure counting are structural only [N502]\n"
      "3:1: note: cost model: no binary facts or stored relation for 'l'; method selection falls back to the static order [N603]\n"},
@@ -576,7 +577,7 @@ const Case kCases[] = {
      "  mc/recurring/int  safe               24           14  m_L + n_L*m_R\n"
      "ranking (by predicted cost): magic_sets < counting < mc/basic/int < mc/basic/ind < mc/single/int < mc/single/ind < mc/multiple/int < mc/multiple/ind < mc/recurring/int < mc/recurring/ind\n"
      "dominance (Figure 3): counting <= magic_sets [VIOLATED], mc/basic/ind <= magic_sets [VIOLATED], mc/basic/int <= magic_sets [VIOLATED]\n"
-     "3:1: note: query is reverse-bound strongly linear: CSL{P=p E=mcm_eswap L=r R=l a=60} [N501]\n"
+     "3:1: note: query is reverse-bound strongly linear: SL{P=p |prefix|=1 |suffix|=1 |exit|=1 b=60} [N501]\n"
      "3:1: note: cost[counting]: predicted 14, worst-case 14 tuple retrievals (m_L + n_L*m_R) [N601]\n"
      "3:1: note: cost[magic_sets]: predicted 8, worst-case 8 tuple retrievals (m_L*m_R) [N601]\n"
      "3:1: note: cost[mc/basic/ind]: predicted 16, worst-case 14 tuple retrievals (m_L + n_L*m_R) [N601]\n"
@@ -618,7 +619,7 @@ const Case kCases[] = {
      "ranking (by predicted cost): magic_sets < mc/basic/int < mc/basic/ind < mc/single/int < mc/single/ind < mc/multiple/int < mc/multiple/ind < mc/recurring/int < mc/recurring/ind\n"
      "dominance (Figure 3): mc/basic/ind <= magic_sets [VIOLATED], mc/basic/int <= magic_sets [VIOLATED], mc/single/ind <= mc/basic/ind, mc/single/int <= mc/single/ind, mc/multiple/ind <= mc/single/ind, mc/multiple/int <= mc/single/int, mc/multiple/int <= mc/multiple/ind, mc/recurring/int <= mc/recurring/ind, mc/recurring/ind <~ mc/multiple/ind [VIOLATED], mc/recurring/int <~ mc/multiple/int [VIOLATED], mc/basic/ind <= counting\n"
      "3:1: warning: pure counting is unsafe for this instance: magic graph over 'r' is cyclic (2 of 2 node(s) recurring); unsafe methods: counting (independent and integrated); safe alternatives: magic_sets and every magic counting method (mc/basic..mc/recurring routes recurring nodes to the magic side) [W401]\n"
-     "4:1: note: query is reverse-bound strongly linear: CSL{P=p E=mcm_eswap L=r R=l a=6} [N501]\n"
+     "4:1: note: query is reverse-bound strongly linear: SL{P=p |prefix|=1 |suffix|=1 |exit|=1 b=6} [N501]\n"
      "4:1: note: cost[counting]: divergent (cyclic magic graph) [N601]\n"
      "4:1: note: cost[magic_sets]: predicted 2, worst-case 2 tuple retrievals (m_L*m_R) [N601]\n"
      "4:1: note: cost[mc/basic/ind]: predicted 4, worst-case 2 tuple retrievals (m_L*m_R) [N601]\n"
@@ -639,8 +640,11 @@ const Case kCases[] = {
 // clang-format on
 #undef CSL_RULES
 
-bool IsPass45(DiagCode code) {
+/// Pass 4/5 diagnostics, plus E101: a stored relation the program uses at
+/// another arity stops every plan before the verdicts matter.
+bool IsRendered(DiagCode code) {
   switch (code) {
+    case DiagCode::kArityConflict:
     case DiagCode::kCountingUnsafe:
     case DiagCode::kQueryClassCsl:
     case DiagCode::kNoEdbStats:
@@ -668,11 +672,11 @@ AnalysisResult AnalyzeCase(const Case& c) {
   return Analyze(*program, options);
 }
 
-/// Verdict table, cost table, then every pass-4/5 diagnostic in order.
+/// Verdict table, cost table, then every rendered diagnostic in order.
 std::string Render(const AnalysisResult& r) {
   std::string out = r.safety.ToString() + r.cost.ToString();
   for (const dl::Diagnostic& d : r.diagnostics.diagnostics()) {
-    if (IsPass45(d.code)) out += d.ToString() + "\n";
+    if (IsRendered(d.code)) out += d.ToString() + "\n";
   }
   return out;
 }

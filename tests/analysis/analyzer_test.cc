@@ -205,6 +205,29 @@ TEST(AnalyzerBindings, AdornmentFailureWarns) {
   EXPECT_TRUE(r.diagnostics.Has(DiagCode::kArityConflict));
 }
 
+TEST(AnalyzerBindings, InvalidMagicRewriteWarns) {
+  // The rewriting of an affine head, magic_n__b(X) :- magic_n__b(X+1),
+  // leaves X unbound: the pattern does not propagate, and the analysis
+  // keeps no rewriting for the planner to run.
+  auto r = AnalyzeSrc("n(0). n(X+1) :- n(X), X < 10. n(5)?");
+  const dl::Diagnostic* d = Find(r, DiagCode::kAdornmentFailed);
+  ASSERT_NE(d, nullptr);
+  EXPECT_NE(d->message.find("the rewritten program is invalid"),
+            std::string::npos)
+      << d->message;
+  EXPECT_EQ(CountCode(r, DiagCode::kBindingSummary), 0u);
+  EXPECT_FALSE(r.magic.has_value());
+  EXPECT_TRUE(r.ok());
+}
+
+TEST(AnalyzerBindings, PropagatingPatternKeepsTheRewrite) {
+  auto r = AnalyzeSrc(
+      "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\ntc(1, Y)?\n");
+  EXPECT_EQ(CountCode(r, DiagCode::kBindingSummary), 1u);
+  ASSERT_TRUE(r.magic.has_value());
+  EXPECT_EQ(r.magic->adorned_goal.predicate, "tc__bf");
+}
+
 TEST(AnalyzerBindings, EdbGoalNeedsNoAdornment) {
   // `e` has no rules (assumed to be a stored relation): querying it needs
   // no binding propagation.

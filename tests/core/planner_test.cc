@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "datalog/parser.h"
 #include "eval/engine.h"
@@ -34,7 +37,7 @@ TEST_F(PlannerTest, CslQueryUsesMagicCounting) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kMagicCounting);
   std::vector<Value> answers;
-  for (const Tuple& t : report->results) answers.push_back(t[0]);
+  for (const Tuple& t : report->results) answers.push_back(t[1]);
   std::sort(answers.begin(), answers.end());
   EXPECT_EQ(answers, (std::vector<Value>{100, 101, 102, 107}));
 }
@@ -61,7 +64,7 @@ TEST_F(PlannerTest, DerivedLErSupportMaterialized) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kMagicCounting);
   ASSERT_EQ(report->results.size(), 1u);
-  EXPECT_EQ(report->results[0][0], 100);  // two L steps, two R steps down
+  EXPECT_EQ(report->results[0][1], 100);  // two L steps, two R steps down
 }
 
 TEST_F(PlannerTest, NonCslBoundQueryFallsBackToMagic) {
@@ -116,8 +119,8 @@ TEST_F(PlannerTest, PathsAgreeOnCslInstances) {
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->kind, PlanKind::kBottomUp);
 
-  // Same answer set everywhere (magic-counting answers are 1-ary; the
-  // other paths return sg(0, Y) tuples — compare Y columns).
+  // Same answer set everywhere (every path returns sg(0, Y) tuples;
+  // compare Y columns).
   auto ys = [](const std::vector<Tuple>& tuples) {
     std::vector<Value> out;
     for (const Tuple& t : tuples) out.push_back(t[t.arity() - 1]);
@@ -192,7 +195,7 @@ TEST_F(PlannerTest, PlainCountingChosenWhenStaticallySafe) {
   EXPECT_EQ(report->safety.VerdictFor("counting"),
             analysis::Verdict::kSafe);
   std::vector<Value> answers;
-  for (const Tuple& t : report->results) answers.push_back(t[0]);
+  for (const Tuple& t : report->results) answers.push_back(t[1]);
   std::sort(answers.begin(), answers.end());
   EXPECT_EQ(answers, (std::vector<Value>{100, 101, 102, 107}));
 }
@@ -438,7 +441,7 @@ TEST_F(PlannerTest, MissingRelationSolveRunsTheExplainedFirstRung) {
   EXPECT_EQ(report->attempts.front().method, "mc/multiple/integrated");
   EXPECT_EQ(report->kind, explain->kind);
   ASSERT_EQ(report->results.size(), 1u);
-  EXPECT_EQ(report->results[0][0], 4);
+  EXPECT_EQ(report->results[0][1], 4);
 }
 
 // The reverse-bound form of the same gap: no E facts and no stored E.
@@ -468,6 +471,132 @@ TEST_F(PlannerTest, MissingRelationReverseBoundMatchesNaiveEvaluation) {
   std::sort(answers.begin(), answers.end());
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(answers, expected);
+}
+
+
+/// Sorted whole answer tuples of `src` solved on a fresh database.
+std::vector<Tuple> SortedAnswers(const std::string& src,
+                                 PlannerOptions options,
+                                 PlanKind* kind = nullptr) {
+  auto prog = dl::Parse(src);
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString();
+  if (!prog.ok()) return {};
+  Database db;
+  auto report = SolveProgram(&db, *prog, options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return {};
+  if (kind != nullptr) *kind = report->kind;
+  std::vector<Tuple> out = report->results;
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+PlannerOptions WithStrategy(Strategy strategy) {
+  PlannerOptions options;
+  options.strategy = strategy;
+  return options;
+}
+
+// Every path returns whole goal tuples: (a, v) for P(a, Y)?, (v, b) for
+// P(X, b)?, so the output does not depend on the method.
+TEST(PlannerResults, EveryPathReturnsGoalTuples) {
+  const std::string program =
+      "p(X, Y) :- e(X, Y).\n"
+      "p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).\n"
+      "l(0,1). l(1,2). e(2,7). e(1,8). r(5,7). r(6,5). r(10,8).\n";
+  const std::pair<const char*, std::vector<Tuple>> kGoals[] = {
+      {"p(0, Y)?", {Tuple{0, 6}, Tuple{0, 10}}},
+      {"p(X, 6)?", {Tuple{0, 6}}},
+  };
+  for (const auto& [goal, want] : kGoals) {
+    SCOPED_TRACE(goal);
+    PlanKind kind{};
+    EXPECT_EQ(SortedAnswers(program + goal, WithStrategy(Strategy::kSafe),
+                            &kind),
+              want);
+    EXPECT_EQ(kind, PlanKind::kMagicCounting);
+    EXPECT_EQ(SortedAnswers(program + goal,
+                            WithStrategy(Strategy::kMagicRewrite), &kind),
+              want);
+    EXPECT_EQ(kind, PlanKind::kMagicSets);
+    EXPECT_EQ(SortedAnswers(program + goal,
+                            WithStrategy(Strategy::kBottomUp), &kind),
+              want);
+    EXPECT_EQ(kind, PlanKind::kBottomUp);
+  }
+}
+
+// A reverse-bound goal over a conjunctive L walks the ladder: the mirrored
+// query has R as its prefix and the conjunction as its suffix.
+TEST(PlannerResults, ReverseBoundConjunctiveLWalksTheLadder) {
+  const char* src = R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, Z), m(Z, X1), p(X1, Y1), r(Y, Y1).
+    l(0, 1). m(1, 2). l(2, 3). m(3, 4).
+    e(4, 7). e(2, 8). e(0, 9).
+    r(5, 7). r(6, 5). r(10, 8).
+    p(X, 6)?
+  )";
+  auto prog = dl::Parse(src);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Database db;
+  auto explain = ExplainProgram(&db, *prog, WithStrategy(Strategy::kSafe));
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->kind, PlanKind::kMagicCounting);
+  ASSERT_FALSE(explain->attempts.empty());
+  EXPECT_EQ(explain->attempts.front().method, "mc/multiple/int");
+  EXPECT_EQ(explain->safety.form, analysis::QueryForm::kReverseBound);
+
+  auto report = SolveProgram(&db, *prog, WithStrategy(Strategy::kSafe));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->kind, PlanKind::kMagicCounting);
+  ASSERT_FALSE(report->attempts.empty());
+  EXPECT_EQ(report->attempts.front().method, "mc/multiple/integrated");
+  std::vector<Tuple> answers = report->results;
+  std::sort(answers.begin(), answers.end());
+  EXPECT_EQ(answers, SortedAnswers(src, WithStrategy(Strategy::kBottomUp)));
+  EXPECT_EQ(answers, (std::vector<Tuple>{Tuple{0, 6}}));
+}
+
+// A stored relation used at another arity stops explain and solve at the
+// analysis, with the same E101 message.
+TEST_F(PlannerTest, StoredArityMismatchStopsExplainAndSolve) {
+  db_.GetOrCreateRelation("l", 3)->Insert(Tuple{0, 1, 2});
+  auto prog = dl::Parse(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, Z), m(Z, X1), p(X1, Y1), r(Y, Y1).
+    p(0, Y)?
+  )");
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  auto explain = ExplainProgram(&db_, *prog);
+  auto solve = SolveProgram(&db_, *prog);
+  ASSERT_FALSE(explain.ok());
+  ASSERT_FALSE(solve.ok());
+  EXPECT_EQ(explain.status().ToString(), solve.status().ToString());
+  EXPECT_NE(solve.status().message().find(
+                "relation 'l' is stored with arity 3, the program uses it "
+                "with arity 2"),
+            std::string::npos)
+      << solve.status().ToString();
+  EXPECT_EQ(solve.status().code(), StatusCode::kInvalidArgument);
+}
+
+// An affine recursive head has no valid magic rewriting: the analysis
+// decides so once, and explain and solve both go straight to bottom-up.
+TEST_F(PlannerTest, InvalidMagicRewriteGoesStraightToBottomUp) {
+  auto prog = dl::Parse("n(0). n(X+1) :- n(X), X < 10. n(5)?");
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  auto explain = ExplainProgram(&db_, *prog);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->kind, PlanKind::kBottomUp);
+
+  auto report = SolveProgram(&db_, *prog);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->kind, PlanKind::kBottomUp);
+  ASSERT_EQ(report->attempts.size(), 1u);
+  EXPECT_EQ(report->attempts[0].method, "bottom_up");
+  EXPECT_TRUE(report->attempts[0].status.ok());
+  EXPECT_EQ(report->results, (std::vector<Tuple>{Tuple{5}}));
 }
 
 }  // namespace

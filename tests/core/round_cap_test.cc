@@ -263,7 +263,7 @@ TEST(CoprimeCycles, EveryPlannerStrategyAnswers) {
     auto report = SolveProgram(&db, program, options);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     std::vector<Value> answers;
-    for (const Tuple& t : report->results) answers.push_back(t[0]);
+    for (const Tuple& t : report->results) answers.push_back(t[1]);
     std::sort(answers.begin(), answers.end());
     EXPECT_EQ(answers, oracle);
   }

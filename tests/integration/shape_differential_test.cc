@@ -97,26 +97,18 @@ std::string ProgramText(const Shape& v, const std::string& goal) {
          "), r(" + v[4] + ", " + v[5] + ").\n" + goal + "\n";
 }
 
-/// The goals and the column their answers bind.
-struct Goal {
-  std::string text;
-  size_t free_col;
-};
-const Goal kForward{"p(0, Y)?", 1};
-const Goal kReverse{"p(X, 0)?", 0};
+constexpr const char* kForward = "p(0, Y)?";
+constexpr const char* kReverse = "p(X, 0)?";
 
-/// Answers projected onto the goal's free column: the CSL rungs return
-/// 1-ary tuples, the other paths whole p tuples.
-std::set<Value> Project(const std::vector<Tuple>& tuples, size_t free_col) {
-  std::set<Value> out;
-  for (const Tuple& t : tuples) out.insert(t.arity() == 1 ? t[0] : t[free_col]);
-  return out;
+/// Every path answers with whole goal tuples; compare them as a set.
+std::set<Tuple> AsSet(const std::vector<Tuple>& tuples) {
+  return {tuples.begin(), tuples.end()};
 }
 
 /// The oracle: naive evaluation of the program. nullopt when the program
 /// is rejected (a rule that is not range-restricted).
-std::optional<std::set<Value>> Naive(const dl::Program& program,
-                                     const Edb& edb, size_t free_col) {
+std::optional<std::set<Tuple>> Naive(const dl::Program& program,
+                                     const Edb& edb) {
   Database db;
   edb.Load(&db);
   eval::EvalOptions options;
@@ -125,7 +117,7 @@ std::optional<std::set<Value>> Naive(const dl::Program& program,
   if (!engine.Run(program).ok()) return std::nullopt;
   Result<std::vector<Tuple>> tuples = engine.Query(program.queries[0].goal);
   if (!tuples.ok()) return std::nullopt;
-  return Project(*tuples, free_col);
+  return AsSet(*tuples);
 }
 
 struct Path {
@@ -162,12 +154,12 @@ std::string PathOf(const core::PlanReport& report, bool explained) {
 /// ExplainProgram names another planner path than SolveProgram takes, or
 /// when SolveProgram walks the CSL ladder and the analysis did not
 /// recognize the query, or the other way round.
-size_t CountWrongPaths(const std::string& src, const Goal& goal,
-                       const Edb& edb, int* report_budget) {
+size_t CountWrongPaths(const std::string& src, const Edb& edb,
+                       int* report_budget) {
   Result<dl::Program> program = dl::Parse(src);
   EXPECT_TRUE(program.ok()) << src << program.status().ToString();
   if (!program.ok()) return 1;
-  std::optional<std::set<Value>> want = Naive(*program, edb, goal.free_col);
+  std::optional<std::set<Tuple>> want = Naive(*program, edb);
   if (!want.has_value()) return 0;  // not a valid program
   // The strategies differ only on the strongly linear path. A program
   // RecognizeQuery rejects takes the same magic rewrite under each, so it
@@ -185,7 +177,7 @@ size_t CountWrongPaths(const std::string& src, const Goal& goal,
     std::string problem;
     if (!report.ok()) {
       problem = "solve failed: " + report.status().ToString();
-    } else if (Project(report->results, goal.free_col) != *want) {
+    } else if (AsSet(report->results) != *want) {
       problem = "disagrees with naive evaluation: " + report->description;
     } else if (!plan.ok()) {
       problem = "explain failed: " + plan.status().ToString();
@@ -254,10 +246,10 @@ TEST(ShapeDifferential, VariableCoincidencesMatchNaiveEvaluation) {
   cycle.l.push_back({2, 0});
   cycle.r.push_back({5, 0});
   for (const Shape& shape : kCoincidences) {
-    for (const Goal& goal : {kForward, Goal{"p(X, 8)?", 0}}) {
+    for (const char* goal : {kForward, "p(X, 8)?"}) {
       for (const Edb* edb : {&chain, &cycle}) {
         int budget = 1;  // report the first wrong path of each case
-        CountWrongPaths(ProgramText(shape, goal.text), goal, *edb, &budget);
+        CountWrongPaths(ProgramText(shape, goal), *edb, &budget);
       }
     }
   }
@@ -270,10 +262,10 @@ TEST(ShapeDifferential, GeneratedRuleShapesMatchNaiveEvaluation) {
   size_t wrong = 0;
   size_t programs = 0;
   for (const Shape& shape : AllShapes(PoolSize())) {
-    for (const Goal& goal : {kForward, kReverse}) {
-      std::string src = ProgramText(shape, goal.text);
+    for (const char* goal : {kForward, kReverse}) {
+      std::string src = ProgramText(shape, goal);
       for (const Edb& edb : edbs) {
-        wrong += CountWrongPaths(src, goal, edb, &budget);
+        wrong += CountWrongPaths(src, edb, &budget);
       }
       ++programs;
     }
@@ -299,8 +291,8 @@ std::set<std::string> Side(const Shape& v, bool y_side) {
 TEST(ShapeDifferential, RecognizedShapesHaveDistinctVariablesAndSeparateSides) {
   size_t recognized = 0;
   for (const Shape& shape : AllShapes(PoolSize())) {
-    for (const Goal& goal : {kForward, kReverse}) {
-      std::string src = ProgramText(shape, goal.text);
+    for (const char* goal : {kForward, kReverse}) {
+      std::string src = ProgramText(shape, goal);
       Result<dl::Program> program = dl::Parse(src);
       ASSERT_TRUE(program.ok()) << src;
       if (!rewrite::RecognizeQuery(*program).ok()) continue;

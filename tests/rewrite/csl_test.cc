@@ -8,15 +8,19 @@
 namespace mcm::rewrite {
 namespace {
 
-/// The canonical CslQuery: RecognizeStronglyLinear's all-atom case.
+/// The canonical CslQuery: RecognizeStronglyLinear's forward all-atom
+/// case, which MaterializeStronglyLinear turns into a signature without
+/// touching the database.
 Result<CslQuery> Recognize(const std::string& src) {
   auto prog = dl::Parse(src);
   EXPECT_TRUE(prog.ok()) << prog.status().ToString();
   MCM_ASSIGN_OR_RETURN(StronglyLinearQuery slq,
                        RecognizeStronglyLinear(*prog));
-  std::optional<CslQuery> csl = slq.Canonical();
-  if (!csl.has_value()) return Status::Unsupported(slq.ToString());
-  return std::move(*csl);
+  if (slq.reverse || !slq.AllAtoms()) {
+    return Status::Unsupported(slq.ToString());
+  }
+  Database db;
+  return MaterializeStronglyLinear(&db, slq);
 }
 
 TEST(RecognizeCsl, CanonicalForm) {

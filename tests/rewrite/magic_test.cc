@@ -220,5 +220,20 @@ TEST(MagicRewrite, CustomPrefix) {
   EXPECT_TRUE(found);
 }
 
+TEST(MagicRewrite, InvalidRewrittenProgramIsUnsupported) {
+  // The affine head turns into magic_n__b(X) :- magic_n__b(X+1), whose
+  // head variable X is bound by no positive atom.
+  auto prog = dl::Parse("n(0). n(X+1) :- n(X), X < 10.");
+  ASSERT_TRUE(prog.ok());
+  auto goal = dl::ParseAtom("n(5)");
+  ASSERT_TRUE(goal.ok());
+  auto magic = MagicRewrite(*prog, *goal);
+  ASSERT_FALSE(magic.ok());
+  EXPECT_EQ(magic.status().code(), StatusCode::kUnsupported)
+      << magic.status().ToString();
+  EXPECT_NE(magic.status().message().find("magic_n__b"), std::string::npos)
+      << magic.status().ToString();
+}
+
 }  // namespace
 }  // namespace mcm::rewrite

@@ -1,55 +1,75 @@
 // Reverse-bound CSL queries P(X, b)? — the mirrored application of the
 // methods (the binding enters through the second argument, so L and R swap
-// roles and E's columns flip).
+// roles and E's columns flip). RecognizeStronglyLinear returns the mirrored
+// form with `reverse` set; MaterializeStronglyLinear composes the swapped E.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/planner.h"
 #include "datalog/parser.h"
-#include "rewrite/csl.h"
+#include "rewrite/strongly_linear.h"
 #include "workload/generators.h"
 
 namespace mcm::rewrite {
 namespace {
 
-TEST(ReverseCsl, RecognizesMirroredSignature) {
-  auto prog = dl::Parse(R"(
+constexpr const char* kCslRules = R"(
     p(X, Y) :- e(X, Y).
     p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
-    p(X, 42)?
-  )");
-  ASSERT_TRUE(prog.ok());
-  auto rev = RecognizeReverseCsl(*prog, "eswap");
-  ASSERT_TRUE(rev.ok()) << rev.status().ToString();
-  EXPECT_EQ(rev->csl.l, "r");
-  EXPECT_EQ(rev->csl.r, "l");
-  EXPECT_EQ(rev->csl.e, "eswap");
-  EXPECT_EQ(rev->original_e, "e");
-  EXPECT_EQ(rev->csl.source.value, 42);
+)";
+
+Result<StronglyLinearQuery> Recognize(const std::string& goal) {
+  auto prog = dl::Parse(std::string(kCslRules) + goal);
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString();
+  return RecognizeStronglyLinear(*prog);
 }
 
-TEST(ReverseCsl, RejectsForwardBoundGoal) {
-  auto prog = dl::Parse(R"(
-    p(X, Y) :- e(X, Y).
-    p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
-    p(42, Y)?
-  )");
-  ASSERT_TRUE(prog.ok());
-  EXPECT_FALSE(RecognizeReverseCsl(*prog, "eswap").ok());
+TEST(ReverseCsl, RecognizesMirroredSignature) {
+  auto slq = Recognize("p(X, 42)?");
+  ASSERT_TRUE(slq.ok()) << slq.status().ToString();
+  EXPECT_TRUE(slq->reverse);
+  EXPECT_EQ(slq->source.value, 42);
+  EXPECT_EQ(slq->answer_var, "X");
+  // R carries the binding: it is the mirrored prefix, L the suffix.
+  ASSERT_TRUE(slq->prefix_is_atom);
+  ASSERT_TRUE(slq->suffix_is_atom);
+  EXPECT_EQ(slq->prefix[0].atom.predicate, "r");
+  EXPECT_EQ(slq->suffix[0].atom.predicate, "l");
+  // e(X, Y) read from Y to X is not canonical: E is a composition.
+  EXPECT_FALSE(slq->exit_is_atom);
+  EXPECT_EQ(slq->ToString(), "SL{P=p |prefix|=1 |suffix|=1 |exit|=1 b=42}");
+}
+
+TEST(ReverseCsl, ForwardBoundGoalIsNotMirrored) {
+  auto slq = Recognize("p(42, Y)?");
+  ASSERT_TRUE(slq.ok()) << slq.status().ToString();
+  EXPECT_FALSE(slq->reverse);
+  EXPECT_EQ(slq->ToString(), "CSL{P=p E=e L=l R=r a=42}");
+  // Both arguments bound, or neither, is not a strongly linear goal.
+  EXPECT_FALSE(Recognize("p(1, 42)?").ok());
+  EXPECT_FALSE(Recognize("p(X, Y)?").ok());
 }
 
 TEST(ReverseCsl, MaterializeSwappedE) {
+  auto slq = Recognize("p(X, 42)?");
+  ASSERT_TRUE(slq.ok()) << slq.status().ToString();
   Database db;
   Relation* e = db.GetOrCreateRelation("e", 2);
   e->Insert2(1, 10);
   e->Insert2(2, 20);
-  ASSERT_TRUE(MaterializeSwappedE(&db, "e", "eswap").ok());
-  Relation* swapped = db.Find("eswap");
+  // A composition left by an earlier call is refreshed, not appended to.
+  db.GetOrCreateRelation("mcm_estar", 2)->Insert2(7, 7);
+  auto csl = MaterializeStronglyLinear(&db, *slq);
+  ASSERT_TRUE(csl.ok()) << csl.status().ToString();
+  EXPECT_EQ(csl->l, "r");
+  EXPECT_EQ(csl->r, "l");
+  EXPECT_EQ(csl->e, "mcm_estar");
+  Relation* swapped = db.Find("mcm_estar");
   ASSERT_NE(swapped, nullptr);
+  EXPECT_EQ(swapped->size(), 2u);
   EXPECT_TRUE(swapped->Contains(Tuple{10, 1}));
   EXPECT_TRUE(swapped->Contains(Tuple{20, 2}));
-  EXPECT_FALSE(MaterializeSwappedE(&db, "missing", "x").ok());
 }
 
 // The planner must answer P(X, b) through magic counting and agree with
@@ -94,7 +114,8 @@ TEST(ReverseCsl, PlannerEndToEnd) {
 // set as the forward one.
 TEST(ReverseCsl, SymmetricWorkloadMatchesForward) {
   workload::CslData data = workload::MakeSameGeneration(40, 2, 777);
-  auto run = [&](const char* src) {
+  // Each query's answers sit in its goal's free column.
+  auto run = [&](const char* src, size_t free_col) {
     Database db;
     data.Load(&db, "parent", "eq", "parent");
     auto prog = dl::Parse(src);
@@ -103,16 +124,18 @@ TEST(ReverseCsl, SymmetricWorkloadMatchesForward) {
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report->kind, core::PlanKind::kMagicCounting);
     std::vector<Value> out;
-    for (const Tuple& t : report->results) out.push_back(t[0]);
+    for (const Tuple& t : report->results) out.push_back(t[free_col]);
     std::sort(out.begin(), out.end());
     return out;
   };
   auto forward = run(
       "sg(X, Y) :- eq(X, Y)."
-      "sg(X, Y) :- parent(X, XP), sg(XP, YP), parent(Y, YP). sg(0, Y)?");
+      "sg(X, Y) :- parent(X, XP), sg(XP, YP), parent(Y, YP). sg(0, Y)?",
+      1);
   auto reverse = run(
       "sg(X, Y) :- eq(X, Y)."
-      "sg(X, Y) :- parent(X, XP), sg(XP, YP), parent(Y, YP). sg(X, 0)?");
+      "sg(X, Y) :- parent(X, XP), sg(XP, YP), parent(Y, YP). sg(X, 0)?",
+      0);
   EXPECT_EQ(forward, reverse);
 }
 

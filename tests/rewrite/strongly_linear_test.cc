@@ -101,7 +101,7 @@ Result<RecognizedQuery> RecognizeWhole(const std::string& src) {
   return RecognizeQuery(*prog);
 }
 
-TEST(RecognizeQuery, TriesCanonicalThenComposedThenReverseBound) {
+TEST(RecognizeQuery, OneFormForCanonicalComposedAndReverseBound) {
   auto canonical = RecognizeWhole(R"(
     l(1, 2).
     p(X, Y) :- e(X, Y).
@@ -109,8 +109,9 @@ TEST(RecognizeQuery, TriesCanonicalThenComposedThenReverseBound) {
     p(1, Y)?
   )");
   ASSERT_TRUE(canonical.ok()) << canonical.status().ToString();
-  ASSERT_TRUE(std::holds_alternative<CslQuery>(canonical->form));
-  EXPECT_EQ(std::get<CslQuery>(canonical->form).l, "l");
+  EXPECT_TRUE(canonical->query.AllAtoms());
+  EXPECT_FALSE(canonical->query.reverse);
+  EXPECT_EQ(canonical->query.prefix[0].atom.predicate, "l");
   ASSERT_EQ(canonical->support.rules.size(), 1u);  // the l fact
   EXPECT_TRUE(canonical->support.queries.empty());
 
@@ -120,7 +121,8 @@ TEST(RecognizeQuery, TriesCanonicalThenComposedThenReverseBound) {
     p(1, Y)?
   )");
   ASSERT_TRUE(composed.ok()) << composed.status().ToString();
-  EXPECT_TRUE(std::holds_alternative<StronglyLinearQuery>(composed->form));
+  EXPECT_FALSE(composed->query.AllAtoms());
+  EXPECT_FALSE(composed->query.reverse);
 
   auto reverse = RecognizeWhole(R"(
     p(X, Y) :- e(X, Y).
@@ -128,8 +130,20 @@ TEST(RecognizeQuery, TriesCanonicalThenComposedThenReverseBound) {
     p(X, 6)?
   )");
   ASSERT_TRUE(reverse.ok()) << reverse.status().ToString();
-  ASSERT_TRUE(std::holds_alternative<ReverseCsl>(reverse->form));
-  EXPECT_EQ(std::get<ReverseCsl>(reverse->form).csl.e, "mcm_eswap");
+  EXPECT_TRUE(reverse->query.reverse);
+  EXPECT_EQ(reverse->query.prefix[0].atom.predicate, "r");
+
+  // A reverse-bound goal over a conjunctive L: the conjunction is the
+  // mirrored suffix.
+  auto reverse_composed = RecognizeWhole(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- l(X, Z), m(Z, X1), p(X1, Y1), r(Y, Y1).
+    p(X, 6)?
+  )");
+  ASSERT_TRUE(reverse_composed.ok()) << reverse_composed.status().ToString();
+  EXPECT_TRUE(reverse_composed->query.reverse);
+  EXPECT_TRUE(reverse_composed->query.prefix_is_atom);
+  EXPECT_EQ(reverse_composed->query.suffix.size(), 2u);
 }
 
 TEST(RecognizeQuery, RejectsSupportDependingOnTheGoal) {
@@ -220,7 +234,7 @@ TEST(MaterializeSl, PlannerEndToEnd) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->kind, core::PlanKind::kMagicCounting);
     EXPECT_NE(report->description.find("composed"), std::string::npos);
-    for (const Tuple& t : report->results) mc.push_back(t[0]);
+    for (const Tuple& t : report->results) mc.push_back(t[1]);
     std::sort(mc.begin(), mc.end());
   }
   EXPECT_EQ(mc, bottom_up);
